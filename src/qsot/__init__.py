@@ -79,7 +79,9 @@ from .twotime import (
     light_touch_probes,
     nonrepresentable_witness,
     representability_residual,
+    trace_grid,
     two_time_ev,
+    two_time_grid,
 )
 
 __version__ = "0.1.0"

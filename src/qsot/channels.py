@@ -6,11 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter, NotHermitian, NumericalFailure
-from .linalg import as_matrix, check_hermitian, partial_trace, tensor
+from .errors import DimensionMismatch, InvalidParameter
+from .linalg import as_matrix, check_hermitian
 
 TP_TOL = 1e-9
-CP_TOL = 1e-9
 DENSITY_TOL = 1e-10
 
 

@@ -29,7 +29,7 @@ from .observables import (
     sic_fiducial_w,
     sic_povm,
 )
-from .sampler import estimate_ev, estimate_pdm, sample_sequential
+from .sampler import SEED_LIMIT, estimate_ev, estimate_pdm, sample_sequential
 from .sot import canonical_sot, reconstruct_unique
 from .twotime import two_time_ev
 from .verify import run_suites
@@ -42,8 +42,29 @@ EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 
 
+def _seed(text: str) -> int:
+    """A seed in [0, 2^64), written in any base Python's int() accepts with base 0."""
+    try:
+        seed = int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if not 0 <= seed < SEED_LIMIT:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 2^64), got {text}")
+    return seed
+
+
+def _dims(text: str) -> tuple:
+    """Comma-separated dimensions, e.g. 2,3."""
+    try:
+        return tuple(int(d) for d in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=lambda s: int(s, 0), default=DEFAULT_SEED,
+    parser.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                         help="seed for all randomness (default 0xC0FFEE)")
     parser.add_argument("--threads", type=int, default=None,
                         help="worker cap, 0 = hardware default (QSOT_THREADS fallback)")
@@ -108,7 +129,7 @@ def cmd_sic(args) -> int:
 
 def cmd_verify(args) -> int:
     names = ("theorems", "nogo", "sic") if args.suite == "all" else (args.suite,)
-    dims = tuple(int(d) for d in args.dims.split(","))
+    dims = args.dims
     if any(d < 2 or d > 6 for d in dims):
         raise InvalidParameter("dims must lie in 2..6")
     if args.trials < 1:
@@ -205,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run numerical verification suites")
     p.add_argument("suite", choices=("theorems", "nogo", "sic", "all"))
-    p.add_argument("--dims", default="2,3", help="comma-separated dimensions in 2..6")
+    p.add_argument("--dims", type=_dims, default=(2, 3),
+                   help="comma-separated dimensions in 2..6")
     p.add_argument("--trials", type=int, default=25)
     _add_common(p)
     p.set_defaults(func=cmd_verify)

@@ -135,15 +135,6 @@ def sot_doc(sot: StateOverTime) -> dict:
     )
 
 
-def sot_from_payload(payload: dict) -> StateOverTime:
-    return StateOverTime(
-        matrix=matrix_from_json(payload.get("matrix")),
-        dimA=int(payload["dimA"]),
-        dimB=int(payload["dimB"]),
-        provenance=payload.get("provenance", "closed-form"),
-    )
-
-
 def report_doc(reports) -> dict:
     payload = {
         "suites": [

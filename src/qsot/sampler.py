@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Process, apply
+from .channels import Process
 from .errors import IndexOutOfRange, InvalidParameter, NumericalFailure
 from .observables import Observable
 from .sot import StateOverTime, pdm_from_correlations
@@ -21,6 +21,7 @@ from .twotime import joint_distribution
 
 SHARD_SIZE = 1 << 16
 PROB_FLOOR = 1e-14
+SEED_LIMIT = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,15 @@ class ShotRecord:
         return int(self.counts[i, j])
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < SEED_LIMIT:
+        raise InvalidParameter(f"seed must lie in [0, 2^64), got {seed}")
+
+
 def _shard_rng(seed: int, shard: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, shard]))
+    # The key is built as uint64: from a Python list numpy would convert keys
+    # of 2^63 and above through float64, so that distinct seeds collide.
+    return np.random.Generator(np.random.Philox(key=np.array([seed, shard], dtype=np.uint64)))
 
 
 def sample_sequential(process: Process, O_A: Observable, O_B: Observable,
@@ -44,6 +52,7 @@ def sample_sequential(process: Process, O_A: Observable, O_B: Observable,
     """Simulate the protocol for a number of shots; deterministic in (seed, shots)."""
     if shots < 1:
         raise InvalidParameter("shots must be positive")
+    _check_seed(seed)
     decA = O_A.spectral
     dist = joint_distribution(process, O_A, O_B)  # validates dims, clamps
     nA, nB = dist.probs.shape
@@ -120,6 +129,7 @@ def estimate_pdm(process: Process, basis_A, basis_B, shots_per_pair: int, seed: 
     """
     if shots_per_pair < 1:
         raise InvalidParameter("shots_per_pair must be positive")
+    _check_seed(seed)
     evs = np.zeros((len(basis_A), len(basis_B)))
     pair = 0
     for a, A in enumerate(basis_A):

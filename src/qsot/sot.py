@@ -23,7 +23,7 @@ from .errors import (
 )
 from .linalg import anticommutator, tensor
 from .observables import Observable, hermitian_basis, light_touch_spanning_set
-from .twotime import two_time_ev
+from .twotime import trace_grid, two_time_grid
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,7 @@ def reconstruct_unique(process: Process) -> StateOverTime:
     dA, dB = process.dim_in, process.dim_out
     probes_A, probes_B, herm, design = _reconstruction_system(dA, dB)
     n = len(herm)
-    rhs = np.asarray(
-        [two_time_ev(process, A, B) for A in probes_A for B in probes_B]
-    )
+    rhs = two_time_grid(process, probes_A, probes_B).ravel()
     coeffs, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
     if rank < n:
         raise SingularSystem(f"design matrix rank {rank} < {n}")
@@ -175,13 +173,11 @@ def maximality_counterexample(O_A: Observable, residual_floor: float = 1e-6):
     process = Process(identity_channel(m), np.outer(eta, eta.conj()))
     X = canonical_sot(process).matrix
 
+    basis = hermitian_basis(m)
+    devs = np.abs(two_time_grid(process, [O_A], basis) - trace_grid(X, [O_A], basis))[0]
     best = None
     best_dev = -1.0
-    for B in hermitian_basis(m):
-        dev = abs(
-            two_time_ev(process, O_A, B)
-            - float(np.trace(X @ tensor(O_A.matrix, B.matrix)).real)
-        )
+    for B, dev in zip(basis, devs.tolist()):
         if dev > best_dev + 1e-15:
             best, best_dev = B, dev
     if best_dev <= residual_floor:

@@ -12,12 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Process, apply, isometry_embed, random_hermitian
+from .channels import Process, isometry_embed, random_hermitian
 from .errors import DimensionMismatch, InvalidParameter, NumericalFailure
-from .linalg import tensor
 from .observables import Observable, hermitian_basis, light_touch_spanning_set
 
-PROB_CLAMP = 1e-12
 PROB_NEG_LIMIT = 1e-9
 
 
@@ -39,28 +37,104 @@ class JointDistribution:
         return float(self.outcomes_A @ self.probs @ self.outcomes_B)
 
 
-def _check_dims(process: Process, O_A: Observable, O_B: Observable) -> None:
-    if O_A.dim != process.dim_in:
-        raise DimensionMismatch(f"O_A dim {O_A.dim} != channel input {process.dim_in}")
-    if O_B.dim != process.dim_out:
-        raise DimensionMismatch(f"O_B dim {O_B.dim} != channel output {process.dim_out}")
+def _check_dim(observables, dim: int, label: str, target: str) -> None:
+    for obs in observables:
+        if obs.dim != dim:
+            raise DimensionMismatch(f"{label} dim {obs.dim} != {target} {dim}")
 
 
-def _clamp(p: float) -> float:
-    if p < -PROB_NEG_LIMIT:
-        raise NumericalFailure(f"probability {p} below clamping limit")
-    return max(p, 0.0)
+def _stack(observables, dim: int, label: str, target: str) -> np.ndarray:
+    """The observables' matrices as one (n, dim, dim) array; each must have dimension dim."""
+    _check_dim(observables, dim, label, target)
+    return np.array([obs.matrix for obs in observables], dtype=complex).reshape(-1, dim, dim)
+
+
+def _luders_stack(rho: np.ndarray, As) -> np.ndarray:
+    """L_a = sum_i lam_i P_i rho P_i for every first observable, as one (nA, d, d) stack.
+
+    The clusters of all observables are sandwiched in one batch and summed
+    back per observable, so uneven cluster counts need no padding.
+    """
+    decs = [A.spectral for A in As]
+    lam = np.concatenate([dec.eigenvalues for dec in decs])
+    P = np.array([P for dec in decs for P in dec.projectors])
+    starts = np.cumsum([0] + [len(dec.eigenvalues) for dec in decs[:-1]])
+    return np.add.reduceat(lam[:, None, None] * (P @ rho @ P), starts, axis=0)
+
+
+def _evolve(channel, L: np.ndarray) -> np.ndarray:
+    """E(L_n) = sum_k K_k L_n K_k^dagger for a whole stack L at once.
+
+    The Kraus stack enters as two matrix products: the rows (k, i) of all K_k
+    against every L_n, then the sum over (k, l) against the row-stacked
+    conjugates. This beats a three-operand einsum from d = 4 on.
+    """
+    K = np.array(channel.kraus)
+    nk, dB, dA = K.shape
+    T = (K.reshape(nk * dB, dA) @ L).reshape(len(L), nk, dB, dA)
+    T = T.transpose(0, 2, 1, 3).reshape(len(L), dB, nk * dA)
+    return T @ K.transpose(1, 0, 2).reshape(dB, nk * dA).conj().T
+
+
+def _pairings(M: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Re Tr[M_n B_m] for a stack M and a stack B of hermitian matrices, as (nM, nB)."""
+    return (M.reshape(len(M), -1) @ B.reshape(len(B), -1).conj().T).real
+
+
+def _values(process: Process, As, B: np.ndarray) -> np.ndarray:
+    if not len(As) or not len(B):
+        return np.zeros((len(As), len(B)))
+    return _pairings(_evolve(process.channel, _luders_stack(process.rho, As)), B)
+
+
+def _traces(X: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    # With X[i, b, j, d] = X[(i, b), (j, d)], Tr[X (A (x) B)] is
+    # sum X[i, b, j, d] A[j, i] B[d, b]: a product of three matrices.
+    nA, dA, _ = A.shape
+    nB, dB, _ = B.shape
+    Xt = X.reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3).reshape(dA * dA, dB * dB)
+    At = A.transpose(0, 2, 1).reshape(nA, dA * dA)
+    Bt = B.transpose(0, 2, 1).reshape(nB, dB * dB)
+    return (At @ Xt @ Bt.T).real
+
+
+def _check_sot_shape(X, dA: int, dB: int) -> np.ndarray:
+    X = np.asarray(X, dtype=complex)
+    if X.shape != (dA * dB, dA * dB):
+        raise DimensionMismatch(f"X must be {(dA * dB, dA * dB)}, got {X.shape}")
+    return X
+
+
+def two_time_grid(process: Process, As, Bs) -> np.ndarray:
+    """The (nA, nB) array of <A_a, B_b> = Tr[E(L_a) B_b], L_a = sum_i lam_i P_i rho P_i.
+
+    The channel is linear, so each row needs E applied once, to the Lüders
+    operator L_a; all rows are evolved in one batch and paired with every
+    second observable in one product.
+    """
+    _check_dim(As, process.dim_in, "O_A", "channel input")
+    return _values(process, As, _stack(Bs, process.dim_out, "O_B", "channel output"))
+
+
+def trace_grid(X, As, Bs) -> np.ndarray:
+    """The (nA, nB) array of Tr[X (A_a (x) B_b)], with no A_a (x) B_b formed."""
+    if not len(As) or not len(Bs):
+        return np.zeros((len(As), len(Bs)))
+    A = _stack(As, As[0].dim, "O_A", "first O_A")
+    B = _stack(Bs, Bs[0].dim, "O_B", "first O_B")
+    return _traces(_check_sot_shape(X, A.shape[1], B.shape[1]), A, B)
 
 
 def joint_distribution(process: Process, O_A: Observable, O_B: Observable) -> JointDistribution:
     """P(i, j) = Tr[E(P_i rho P_i) Q_j] over distinct-eigenvalue projectors."""
-    _check_dims(process, O_A, O_B)
+    _check_dim([O_A], process.dim_in, "O_A", "channel input")
+    _check_dim([O_B], process.dim_out, "O_B", "channel output")
     decA, decB = O_A.spectral, O_B.spectral
-    probs = np.zeros((len(decA.eigenvalues), len(decB.eigenvalues)))
-    for i, P in enumerate(decA.projectors):
-        evolved = apply(process.channel, P @ process.rho @ P)
-        for j, Q in enumerate(decB.projectors):
-            probs[i, j] = _clamp(float(np.trace(evolved @ Q).real))
+    P = np.array(decA.projectors)
+    probs = _pairings(_evolve(process.channel, P @ process.rho @ P), np.array(decB.projectors))
+    if probs.min() < -PROB_NEG_LIMIT:
+        raise NumericalFailure(f"probability {probs.min()} below clamping limit")
+    probs = np.maximum(probs, 0.0)
     total = probs.sum()
     if abs(total - 1.0) > 1e-8:
         raise NumericalFailure(f"joint distribution sums to {total}")
@@ -71,49 +145,52 @@ def joint_distribution(process: Process, O_A: Observable, O_B: Observable) -> Jo
 
 def two_time_ev(process: Process, O_A: Observable, O_B: Observable) -> float:
     """sum_i lam_i Tr[E(P_i rho P_i) O_B]; real up to roundoff."""
-    _check_dims(process, O_A, O_B)
-    dec = O_A.spectral
-    total = 0.0
-    for lam, P in zip(dec.eigenvalues, dec.projectors):
-        evolved = apply(process.channel, P @ process.rho @ P)
-        total += lam * float(np.trace(evolved @ O_B.matrix).real)
-    return total
+    return float(two_time_grid(process, [O_A], [O_B])[0, 0])
 
 
 def sot_trace_value(X: np.ndarray, O_A: Observable, O_B: Observable) -> float:
     """Tr[X (O_A (x) O_B)], the candidate bilinear representation."""
-    return float(np.trace(X @ tensor(O_A.matrix, O_B.matrix)).real)
+    return float(trace_grid(X, [O_A], [O_B])[0, 0])
+
+
+def _unique(observables) -> tuple:
+    """The distinct observables by identity, and each input's index among them."""
+    first, unique, index = {}, [], []
+    for obs in observables:
+        if id(obs) not in first:
+            first[id(obs)] = len(unique)
+            unique.append(obs)
+        index.append(first[id(obs)])
+    return unique, np.array(index, dtype=int)
 
 
 def representability_residual(process: Process, X, probes) -> float:
     """Worst normalized deviation |<O_A, O_B> - Tr[X (O_A (x) O_B)]| over probes.
 
     Each probe is normalized by max(1, ||O_A|| ||O_B||) in spectral norm so
-    residuals are comparable across probe scales.
+    residuals are comparable across probe scales. The distinct first and
+    second observables make one grid of each side, and each norm is taken
+    once per distinct observable.
     """
-    X = np.asarray(X, dtype=complex)
     dA, dB = process.dim_in, process.dim_out
-    if X.shape != (dA * dB, dA * dB):
-        raise DimensionMismatch(f"X must be {(dA * dB, dA * dB)}, got {X.shape}")
-    worst = 0.0
-    for O_A, O_B in probes:
-        ev = two_time_ev(process, O_A, O_B)
-        lin = sot_trace_value(X, O_A, O_B)
-        scale = max(
-            1.0,
-            float(np.linalg.norm(O_A.matrix, 2)) * float(np.linalg.norm(O_B.matrix, 2)),
-        )
-        worst = max(worst, abs(ev - lin) / scale)
-    return worst
+    X = _check_sot_shape(X, dA, dB)
+    probes = list(probes)
+    if not probes:
+        return 0.0
+    As, ia = _unique([A for A, _ in probes])
+    Bs, ib = _unique([B for _, B in probes])
+    A = _stack(As, dA, "O_A", "channel input")
+    B = _stack(Bs, dB, "O_B", "channel output")
+    dev = np.abs(_values(process, As, B) - _traces(X, A, B))[ia, ib]
+    norm_A = np.linalg.norm(A, 2, axis=(1, 2))
+    norm_B = np.linalg.norm(B, 2, axis=(1, 2))
+    return float(np.max(dev / np.maximum(1.0, norm_A[ia] * norm_B[ib])))
 
 
 def light_touch_probes(dim_in: int, dim_out: int) -> list:
     """Product probes with light-touch first factors: spanning set x hermitian basis."""
-    return [
-        (A, B)
-        for A in light_touch_spanning_set(dim_in)
-        for B in hermitian_basis(dim_out)
-    ]
+    basis_B = hermitian_basis(dim_out)
+    return [(A, B) for A in light_touch_spanning_set(dim_in) for B in basis_B]
 
 
 def general_probes(dim_in: int, dim_out: int, rng: np.random.Generator, count: int = 20) -> list:

@@ -23,10 +23,7 @@ from .linalg import hs_inner, tensor
 from .observables import (
     Observable,
     gram_matrix,
-    hermitian_basis,
     light_touch_basis_qutrit,
-    light_touch_spanning_set,
-    permutation_matrix,
     sic_fiducial_v,
     sic_fiducial_w,
     sic_povm,
@@ -37,6 +34,7 @@ from .twotime import (
     light_touch_probes,
     nonrepresentable_witness,
     representability_residual,
+    sot_trace_value,
     two_time_ev,
 )
 
@@ -69,6 +67,11 @@ class SuiteReport:
         self.claims.append(Claim(name, float(residual), tolerance, direction))
 
 
+def _tol(override: float | None, default: float) -> float:
+    """The caller's tolerance if given (0 included), else the claim's default."""
+    return default if override is None else override
+
+
 def _dim_pairs(dims):
     return [(a, b) for a in dims for b in dims]
 
@@ -99,9 +102,9 @@ def verify_theorems(dims=(2, 3), trials: int = 25, seed: int = 0xC0FFEE,
                 abs(two_time_ev(process, eye_A, O_B)
                     - float(np.trace(apply(process.channel, process.rho) @ O_B.matrix).real)),
             )
-    report.add("light-touch trace formula (uniqueness theorem)", worst_lt, tol or 1e-10)
-    report.add("reconstruction matches closed form", worst_rec, tol or 1e-8)
-    report.add("one-time marginal identities", worst_marg, tol or 1e-10)
+    report.add("light-touch trace formula (uniqueness theorem)", worst_lt, _tol(tol, 1e-10))
+    report.add("reconstruction matches closed form", worst_rec, _tol(tol, 1e-8))
+    report.add("one-time marginal identities", worst_marg, _tol(tol, 1e-10))
 
     # Special-case bilinearity: maximally mixed input and discard-and-prepare.
     worst_mm = worst_dp = 0.0
@@ -118,7 +121,7 @@ def verify_theorems(dims=(2, 3), trials: int = 25, seed: int = 0xC0FFEE,
                 worst_mm = max(
                     worst_mm,
                     abs(two_time_ev(mixed, O_A, O_B)
-                        - float(np.trace(X_mm @ tensor(O_A.matrix, O_B.matrix)).real)),
+                        - sot_trace_value(X_mm, O_A, O_B)),
                 )
             dp = Process(discard_prepare(sigma, dim_in=dA), rho)
             X_dp = tensor(rho, sigma)
@@ -128,10 +131,10 @@ def verify_theorems(dims=(2, 3), trials: int = 25, seed: int = 0xC0FFEE,
                 worst_dp = max(
                     worst_dp,
                     abs(two_time_ev(dp, O_A, O_B)
-                        - float(np.trace(X_dp @ tensor(O_A.matrix, O_B.matrix)).real)),
+                        - sot_trace_value(X_dp, O_A, O_B)),
                 )
-    report.add("maximally mixed input is representable", worst_mm, tol or 1e-10)
-    report.add("discard-and-prepare is representable", worst_dp, tol or 1e-10)
+    report.add("maximally mixed input is representable", worst_mm, _tol(tol, 1e-10))
+    report.add("discard-and-prepare is representable", worst_dp, _tol(tol, 1e-10))
 
     # Maximality: every non-light-touch observable admits a counterexample.
     worst_gap = np.inf
@@ -167,8 +170,8 @@ def verify_nogo(dim_pairs=((2, 2), (3, 3), (2, 4), (4, 2)), seed: int = 0xC0FFEE
         min_general = min(
             min_general, representability_residual(witness.process, X, probes)
         )
-    report.add("witness nonlinearity gap equals 2", worst_gap_dev, tol or 1e-10)
-    report.add("light-touch residual of witness", worst_lt, tol or 1e-10)
+    report.add("witness nonlinearity gap equals 2", worst_gap_dev, _tol(tol, 1e-10))
+    report.add("light-touch residual of witness", worst_lt, _tol(tol, 1e-10))
     report.add("general-probe residual of witness", min_general, 0.1, direction="min")
     return report
 
@@ -192,7 +195,7 @@ def sic_fiducial_grid():
 def verify_sic(seed: int = 0xC0FFEE, tol: float | None = None) -> SuiteReport:
     """SIC overlap, resolution of identity, and light-touch Gram checks."""
     report = SuiteReport(suite="sic", seed=seed)
-    tol = tol or 1e-10
+    tol = _tol(tol, 1e-10)
     worst_overlap = worst_sum = worst_gram = 0.0
     for psi in sic_fiducial_grid():
         povm = sic_povm(psi)

@@ -201,3 +201,58 @@ def test_pretty_and_json_formats(tmp_path, capsys):
     pretty = capsys.readouterr().out
     assert json.loads(compact) == json.loads(pretty)
     assert len(pretty.splitlines()) > len(compact.splitlines())
+
+
+def _parse_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return exc.value.code, err.strip().splitlines()[-1]
+
+
+def test_seed_above_range_exits_2(tmp_path, capsys):
+    proc_file = write_process(tmp_path, Process(identity_channel(2), np.diag([1.0, 0.0])))
+    obs_file = write_observable(tmp_path, PAULI[3], "sz.json")
+    code, line = _parse_error(["sample", proc_file, obs_file, obs_file, "--shots", "5",
+                               "--seed", "0x1ffffffffffffffff"], capsys)
+    assert code == 2
+    assert "--seed" in line and "2^64" in line
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    proc_file = write_process(tmp_path, Process(identity_channel(2), np.diag([1.0, 0.0])))
+    code, line = _parse_error(["pdm-reconstruct", proc_file, "--shots", "5",
+                               "--seed", "-1"], capsys)
+    assert code == 2
+    assert "--seed" in line
+
+
+def test_largest_seed_accepted(tmp_path):
+    proc_file = write_process(tmp_path, Process(identity_channel(2), np.diag([1.0, 0.0])))
+    obs_file = write_observable(tmp_path, PAULI[3], "sz.json")
+    out = tmp_path / "sample.json"
+    assert main(["sample", proc_file, obs_file, obs_file, "--shots", "5",
+                 "--seed", hex(2**64 - 1), "--out", str(out)]) == 0
+    _, payload = io.load_document(str(out), expect_kind="report")
+    assert payload["seed"] == 2**64 - 1
+
+
+def test_non_integer_dims_exit_2(capsys):
+    code, line = _parse_error(["verify", "theorems", "--dims", "2,x"], capsys)
+    assert code == 2
+    assert "--dims" in line
+
+
+def test_verify_tol_zero_is_honoured(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(["verify", "nogo", "--tol", "0", "--out", str(out), "--format", "json"])
+    assert code in (0, 1)
+    _, payload = io.load_document(str(out), expect_kind="report")
+    tolerances = {c["name"]: c["tolerance"] for c in payload["suites"][0]["claims"]}
+    assert tolerances == {
+        "witness nonlinearity gap equals 2": 0.0,
+        "light-touch residual of witness": 0.0,
+        "general-probe residual of witness": 0.1,
+    }
+    assert "tolerance 0)" in capsys.readouterr().err

@@ -22,7 +22,7 @@ from qsot import (
     two_time_ev,
 )
 from qsot.observables import PAULI
-from qsot.sampler import SHARD_SIZE
+from qsot.sampler import SHARD_SIZE, _shard_rng
 
 
 def test_deterministic_outcome():
@@ -138,3 +138,47 @@ def test_sampler_input_validation():
         sample_sequential(proc, sz, sz, 0, seed=1)
     with pytest.raises(InvalidParameter):
         estimate_pdm(proc, pauli_basis(1), pauli_basis(1), 0, seed=1)
+
+
+def test_seed_range_validation():
+    proc = Process(identity_channel(2), np.diag([1.0, 0.0]))
+    sz = Observable(PAULI[3])
+    for seed in (-1, 2**64):
+        with pytest.raises(InvalidParameter):
+            sample_sequential(proc, sz, sz, 10, seed=seed)
+        with pytest.raises(InvalidParameter):
+            estimate_pdm(proc, pauli_basis(1), pauli_basis(1), 10, seed=seed)
+    assert sample_sequential(proc, sz, sz, 10, seed=2**64 - 1).count(1, 1) == 10
+
+
+def test_shard_streams_distinct_above_2_pow_63():
+    # A list key would pass through float64 here: 2^63 and 2^63 + 1 collide,
+    # and 2^64 - 1 would replay seed 0.
+    def draws(seed, shard=0):
+        return _shard_rng(seed, shard).random(4)
+
+    assert not np.array_equal(draws(2**63), draws(2**63 + 1))
+    assert not np.array_equal(draws(2**64 - 1), draws(0))
+    assert not np.array_equal(draws(2**63, 0), draws(2**63, 1))
+
+
+def test_shard_streams_below_2_pow_63_unchanged():
+    for seed in (0, 5, 0xC0FFEE, 2**32 + 3, 2**63 - 1):
+        for shard in (0, 2):
+            legacy = np.random.Generator(np.random.Philox(key=[seed, shard])).random(4)
+            assert np.array_equal(_shard_rng(seed, shard).random(4), legacy)
+
+
+def test_estimate_pdm_pair_streams_distinct_at_large_seed():
+    rng = np.random.default_rng(6)
+    proc = random_process(2, 2, rng)
+    basis = pauli_basis(1)
+    streams = []
+
+    def record_stream(process, A, B, shots, seed):
+        streams.append(tuple(_shard_rng(seed, 0).random(4)))
+        return two_time_ev(process, A, B)
+
+    estimate_pdm(proc, basis, basis, 1, seed=4_000_000_000, _ev_fn=record_stream)
+    assert len(streams) == 16
+    assert len(set(streams)) == 16
