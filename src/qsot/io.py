@@ -121,18 +121,18 @@ def process_from_payload(payload: dict) -> Process:
 
 def sot_doc(sot: StateOverTime) -> dict:
     min_eig, negativity = causality_witness(sot)
-    return envelope(
-        "sot",
-        {
-            "dimA": sot.dimA,
-            "dimB": sot.dimB,
-            "provenance": sot.provenance,
-            "matrix": matrix_to_json(sot.matrix),
-            "eigenvalues": [float(x) for x in sot.eigenvalues()],
-            "min_eigenvalue": min_eig,
-            "negativity": negativity,
-        },
-    )
+    payload = {
+        "dimA": sot.dimA,
+        "dimB": sot.dimB,
+        "provenance": sot.provenance,
+        "matrix": matrix_to_json(sot.matrix),
+        "eigenvalues": [float(x) for x in sot.eigenvalues()],
+        "min_eigenvalue": min_eig,
+        "negativity": negativity,
+    }
+    if sot.condition is not None:
+        payload["condition_number"] = sot.condition
+    return envelope("sot", payload)
 
 
 def report_doc(reports) -> dict:

@@ -17,7 +17,6 @@ from .linalg import (
     SpectralDecomposition,
     check_hermitian,
     hermitian_eigendecomposition,
-    hs_inner,
     tensor,
 )
 
@@ -164,6 +163,7 @@ class SicPovm:
 
     fiducial: np.ndarray = field(repr=False)
     projectors: tuple = field(repr=False)  # indexed (j, k) row-major
+    overlap_residual: float  # max |Tr[P_a P_b] - 1/4| over distinct pairs
 
     dim = 3
 
@@ -189,19 +189,18 @@ def sic_povm(fiducial) -> SicPovm:
         for k in range(3):
             v = weyl_heisenberg(j, k) @ psi
             projectors.append(np.outer(v, v.conj()))
-    worst = 0.0
-    worst_pair = None
-    for a in range(9):
-        for b in range(a + 1, 9):
-            overlap = float(np.trace(projectors[a] @ projectors[b]).real)
-            dev = abs(overlap - 0.25)
-            if dev > worst:
-                worst, worst_pair = dev, (divmod(a, 3), divmod(b, 3))
+    # Tr[P_a P_b] = sum_ij P_a[i, j] conj(P_b[i, j]) for hermitian P_b: one Gram product.
+    flat = np.array(projectors).reshape(9, 9)
+    pairs = np.triu_indices(9, k=1)
+    devs = np.abs((flat @ flat.conj().T).real - 0.25)[pairs]
+    worst_at = int(np.argmax(devs))
+    worst = float(devs[worst_at])
     if worst > SIC_OVERLAP_TOL:
+        a, b = int(pairs[0][worst_at]), int(pairs[1][worst_at])
         raise FailedOverlapCondition(
-            f"overlap deviates from 1/4 by {worst:.3e} at pair {worst_pair}"
+            f"overlap deviates from 1/4 by {worst:.3e} at pair {(divmod(a, 3), divmod(b, 3))}"
         )
-    return SicPovm(fiducial=psi, projectors=tuple(projectors))
+    return SicPovm(fiducial=psi, projectors=tuple(projectors), overlap_residual=worst)
 
 
 def light_touch_basis_qutrit(povm: SicPovm) -> list:
@@ -237,12 +236,9 @@ def light_touch_spanning_set(d: int) -> list:
 
 
 def gram_matrix(observables) -> np.ndarray:
-    n = len(observables)
-    G = np.zeros((n, n))
-    for a in range(n):
-        for b in range(n):
-            G[a, b] = hs_inner(observables[a].matrix, observables[b].matrix).real
-    return G
+    """Re Tr[O_a^dagger O_b] for every pair, as one product of the flattened matrices."""
+    flat = np.array([obs.matrix.ravel() for obs in observables])
+    return (flat.conj() @ flat.T).real
 
 
 def hermitian_basis(d: int) -> list:

@@ -9,7 +9,7 @@ reproducible regardless of how shards are scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -143,6 +143,4 @@ def estimate_pdm(process: Process, basis_A, basis_B, shots_per_pair: int, seed: 
                 evs[a, b], _ = estimate_ev(record, dec_A.eigenvalues, dec_B.eigenvalues)
             pair += 1
     sot = pdm_from_correlations(process.dim_in, process.dim_out, basis_A, basis_B, evs)
-    return StateOverTime(
-        matrix=sot.matrix, dimA=sot.dimA, dimB=sot.dimB, provenance="sampled"
-    )
+    return replace(sot, provenance="sampled")

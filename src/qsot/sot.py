@@ -8,6 +8,7 @@ values with a light-touch first observable.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,18 +23,23 @@ from .errors import (
     SingularSystem,
 )
 from .linalg import anticommutator, tensor
-from .observables import Observable, hermitian_basis, light_touch_spanning_set
-from .twotime import trace_grid, two_time_grid
+from .observables import Observable, gram_matrix, hermitian_basis, light_touch_spanning_set
+from .twotime import _stack, _values, trace_grid, two_time_grid
 
 
 @dataclass(frozen=True)
 class StateOverTime:
-    """Hermitian unit-trace operator on A (x) B with a provenance tag."""
+    """Hermitian unit-trace operator on A (x) B with a provenance tag.
+
+    ``condition`` is cond(G) of the first-time observables an expansion used:
+    how far it can amplify errors in the correlation data (None: closed form).
+    """
 
     matrix: np.ndarray = field(repr=False)
     dimA: int
     dimB: int
     provenance: str  # "closed-form" | "reconstructed" | "sampled"
+    condition: float | None = None
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
@@ -47,86 +53,88 @@ def canonical_sot(process: Process) -> StateOverTime:
     return StateOverTime(matrix=M, dimA=dA, dimB=dB, provenance="closed-form")
 
 
+def _expand(values: np.ndarray, dual: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """sum_ab values[a, b] dual_a (x) B_b for stacks dual and B, with no Kronecker product.
+
+    Two products give the entries indexed ((i, j), (k, l)); one axis swap
+    moves them to X[(i, k), (j, l)]. The hermitian part drops roundoff.
+    """
+    nA, dA, _ = dual.shape
+    nB, dB, _ = B.shape
+    X = dual.reshape(nA, dA * dA).T @ values @ B.reshape(nB, dB * dB)
+    X = X.reshape(dA, dA, dB, dB).transpose(0, 2, 1, 3).reshape(dA * dB, dA * dB)
+    return 0.5 * (X + X.conj().T)
+
+
 def pdm_from_correlations(dimA: int, dimB: int, basis_A, basis_B, evs) -> StateOverTime:
     """Expand correlation data over orthogonal observable bases.
 
     ``evs[a][b]`` is the two-time expectation value of (basis_A[a], basis_B[b]).
     basis_A must consist of light-touch observables with Gram matrix c_A * 1,
     basis_B of hermitian observables with Gram matrix c_B * 1; the result is
-    sum_ab evs[a][b] A_a (x) B_b / (c_A c_B).
+    sum_ab evs[a][b] A_a (x) B_b / (c_A c_B), with condition number 1.
     """
     evs = np.asarray(evs, dtype=float)
     if evs.shape != (len(basis_A), len(basis_B)):
-        raise DimensionMismatch(
-            f"evs shape {evs.shape} != ({len(basis_A)}, {len(basis_B)})"
-        )
-    for obs in basis_A:
-        if not obs.is_light_touch:
-            raise NotLightTouch("basis_A contains a non-light-touch element")
-    cA = _uniform_gram_norm(basis_A)
-    cB = _uniform_gram_norm(basis_B)
-    M = np.zeros((dimA * dimB, dimA * dimB), dtype=complex)
-    for a, A in enumerate(basis_A):
-        for b, B in enumerate(basis_B):
-            if evs[a, b] != 0.0:
-                M += evs[a, b] * tensor(A.matrix, B.matrix)
-    return StateOverTime(matrix=M / (cA * cB), dimA=dimA, dimB=dimB, provenance="reconstructed")
+        raise DimensionMismatch(f"evs shape {evs.shape} != ({len(basis_A)}, {len(basis_B)})")
+    if not all(obs.is_light_touch for obs in basis_A):
+        raise NotLightTouch("basis_A contains a non-light-touch element")
+    A = _stack(basis_A, dimA, "basis_A", "dimA")
+    B = _stack(basis_B, dimB, "basis_B", "dimB")
+    X = _expand(evs, A / _uniform_gram_norm(basis_A), B / _uniform_gram_norm(basis_B))
+    return StateOverTime(matrix=X, dimA=dimA, dimB=dimB, provenance="reconstructed",
+                         condition=1.0)
 
 
 def _uniform_gram_norm(basis, tol: float = 1e-8) -> float:
-    norms = []
-    for a, A in enumerate(basis):
-        for b, B in enumerate(basis):
-            val = float(np.sum(A.matrix.conj() * B.matrix).real)
-            if a == b:
-                norms.append(val)
-            elif abs(val) > tol:
-                raise BasisNotOrthogonal(f"off-diagonal Gram entry {val:.3e} at ({a}, {b})")
-    norms = np.asarray(norms)
+    G = gram_matrix(basis)
+    norms = np.diagonal(G)
+    off = np.abs(G - np.diag(norms)) > tol
+    if off.any():
+        a, b = np.argwhere(off)[0]
+        raise BasisNotOrthogonal(f"off-diagonal Gram entry {G[a, b]:.3e} at ({a}, {b})")
     if np.ptp(norms) > tol * max(1.0, norms.max()):
         raise BasisNotOrthogonal("basis elements do not share a common norm")
     return float(norms.mean())
 
 
-_DESIGN_CACHE: dict = {}
+def _dual_frame(observables, dim: int) -> tuple:
+    """The dual frame G^-1 A of hermitian observables A_a with Gram matrix G, and cond(G)."""
+    G = gram_matrix(observables)
+    s = np.linalg.svd(G, compute_uv=False)
+    if s[-1] <= s[0] * len(s) * np.finfo(float).eps:  # NumPy's matrix_rank tolerance
+        raise SingularSystem(f"Gram matrix singular values {s[0]:.3e} .. {s[-1]:.3e}")
+    A = _stack(observables, dim, "frame element", "dimension")
+    return np.linalg.solve(G, A.reshape(len(A), -1)).reshape(A.shape), float(s[0] / s[-1])
 
 
-def _reconstruction_system(dA: int, dB: int):
-    # The probe family and design matrix depend only on the dimensions, so
-    # they are memoized across processes.
-    key = (dA, dB)
-    if key not in _DESIGN_CACHE:
-        probes_A = light_touch_spanning_set(dA)
-        probes_B = hermitian_basis(dB)
-        herm = hermitian_basis(dA * dB)
-        rows = []
-        for A in probes_A:
-            for B in probes_B:
-                probe = tensor(A.matrix, B.matrix)
-                # Tr[H_c P] is real for hermitian H_c, P.
-                rows.append([float(np.sum(H.matrix.conj() * probe).real) for H in herm])
-        _DESIGN_CACHE[key] = (probes_A, probes_B, herm, np.asarray(rows))
-    return _DESIGN_CACHE[key]
+@functools.lru_cache(maxsize=16)
+def _frames(d: int) -> tuple:
+    """Per dimension: the light-touch spanning set, its dual frame, cond(G), the hermitian basis.
+
+    Caching the observables keeps their spectral decompositions too.
+    """
+    probes = tuple(light_touch_spanning_set(d))
+    dual, condition = _dual_frame(probes, d)
+    basis = _stack(hermitian_basis(d), d, "basis", "dimension")
+    dual.flags.writeable = basis.flags.writeable = False
+    return probes, dual, condition, basis
 
 
 def reconstruct_unique(process: Process) -> StateOverTime:
-    """Solve Tr[X (A_a (x) B_b)] = <A_a, B_b> for hermitian X by least squares.
+    """The unique X with Tr[X (A_a (x) B_b)] = <A_a, B_b> for all probe pairs.
 
-    The probe family is the light-touch spanning set on A crossed with an
-    orthonormal hermitian basis of B; the system is square and full rank, so
-    the solution is the unique light-touch representation.
+    The probes are the light-touch spanning set {A_a} on A crossed with an
+    orthonormal hermitian basis {B_b} of B. The system factorizes as G (x) 1
+    with G the Gram matrix of {A_a}, so X = sum_ab <A_a, B_b> A~_a (x) B_b
+    with A~ = G^-1 A the dual frame; cond(G) is reported as ``condition``.
     """
     dA, dB = process.dim_in, process.dim_out
-    probes_A, probes_B, herm, design = _reconstruction_system(dA, dB)
-    n = len(herm)
-    rhs = two_time_grid(process, probes_A, probes_B).ravel()
-    coeffs, _, rank, _ = np.linalg.lstsq(design, rhs, rcond=None)
-    if rank < n:
-        raise SingularSystem(f"design matrix rank {rank} < {n}")
-    X = np.zeros((dA * dB, dA * dB), dtype=complex)
-    for c, H in zip(coeffs, herm):
-        X += c * H.matrix
-    return StateOverTime(matrix=X, dimA=dA, dimB=dB, provenance="reconstructed")
+    probes_A, dual, condition, _ = _frames(dA)
+    B = _frames(dB)[3]
+    X = _expand(_values(process, probes_A, B), dual, B)
+    return StateOverTime(matrix=X, dimA=dA, dimB=dB, provenance="reconstructed",
+                         condition=condition)
 
 
 def causality_witness(sot: StateOverTime) -> tuple:

@@ -199,10 +199,7 @@ def verify_sic(seed: int = 0xC0FFEE, tol: float | None = None) -> SuiteReport:
     worst_overlap = worst_sum = worst_gram = 0.0
     for psi in sic_fiducial_grid():
         povm = sic_povm(psi)
-        for a in range(9):
-            for b in range(a + 1, 9):
-                overlap = float(np.trace(povm.projectors[a] @ povm.projectors[b]).real)
-                worst_overlap = max(worst_overlap, abs(overlap - 0.25))
+        worst_overlap = max(worst_overlap, povm.overlap_residual)
         total = sum(povm.projectors) / 3
         worst_sum = max(worst_sum, float(np.linalg.norm(total - np.eye(3))))
         basis = light_touch_basis_qutrit(povm)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qsot import Process, identity_channel
+from qsot import Process, canonical_sot, identity_channel, reconstruct_unique
 from qsot.cli import main
 from qsot import io
 from qsot.observables import PAULI
@@ -162,6 +162,21 @@ def test_pdm_reconstruct_sampled(tmp_path):
     assert payload["provenance"] == "sampled"
 
 
+def test_condition_number_only_for_expansions(tmp_path):
+    proc_file = write_process(tmp_path, qutrit_process())
+    out = tmp_path / "out.json"
+    payloads = {}
+    for argv in (["sot"], ["pdm-reconstruct"], ["pdm-reconstruct", "--shots", "10"]):
+        assert main([argv[0], proc_file, *argv[1:], "--out", str(out)]) == 0
+        payloads[" ".join(argv)] = io.load_document(str(out), expect_kind="sot")[1]
+    assert "condition_number" not in payloads["sot"]
+    assert payloads["pdm-reconstruct"]["condition_number"] == pytest.approx(15.5741, rel=1e-5)
+    assert payloads["pdm-reconstruct --shots 10"]["condition_number"] == 1.0
+    assert "condition_number" not in io.sot_doc(canonical_sot(qutrit_process()))["payload"]
+    rec = reconstruct_unique(qutrit_process())
+    assert io.sot_doc(rec)["payload"]["condition_number"] == rec.condition
+
+
 def test_document_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -242,6 +257,12 @@ def test_non_integer_dims_exit_2(capsys):
     code, line = _parse_error(["verify", "theorems", "--dims", "2,x"], capsys)
     assert code == 2
     assert "--dims" in line
+
+
+def test_non_digit_permutation_exits_2(capsys):
+    code, line = _parse_error(["sic", "--permutation", "01x"], capsys)
+    assert code == 2
+    assert "--permutation" in line
 
 
 def test_verify_tol_zero_is_honoured(tmp_path, capsys):

@@ -1,9 +1,13 @@
 """The batched two-time kernel against the per-pair loops it replaced.
 
 The ``ref_*`` functions are those loops, kept slow and obvious: one Kraus
-application per eigenprojector and probe pair, one ``np.kron`` per trace.
-Every grid value must match them within 1e-12 on seeded random instances.
+application per eigenprojector and probe pair, one ``np.kron`` per trace,
+and the least-squares reconstruction over a (dA dB)^2-square design matrix
+that the dual-frame expansion replaced. Every grid value and reconstruction
+must match them within 1e-12 on seeded random instances.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -27,7 +31,6 @@ from qsot import (
 )
 from qsot.channels import apply
 from qsot.observables import hermitian_basis, light_touch_spanning_set
-from qsot.sot import _reconstruction_system
 from qsot.twotime import light_touch_probes, sot_trace_value
 
 TOL = 1e-12
@@ -70,11 +73,28 @@ def ref_residual(process, X, probes):
     return worst
 
 
+@functools.lru_cache(maxsize=None)
+def ref_design(dA, dB):
+    """The (dA dB)^2-square system Tr[X (A_a (x) B_b)] = <A_a, B_b> over hermitian_basis(dA dB).
+
+    Row (a, b), column c holds Tr[H_c (A_a (x) B_b)], which is real for
+    hermitian H_c and probe; built once per dimension pair.
+    """
+    probes_A, probes_B = light_touch_spanning_set(dA), hermitian_basis(dB)
+    herm = np.array([H.matrix for H in hermitian_basis(dA * dB)])
+    probes = np.array([np.kron(A.matrix, B.matrix) for A in probes_A for B in probes_B])
+    n = len(herm)
+    design = (probes.reshape(n, -1) @ herm.transpose(0, 2, 1).reshape(n, -1).T).real
+    return probes_A, probes_B, herm, design
+
+
 def ref_reconstruct(process):
-    probes_A, probes_B, herm, design = _reconstruction_system(process.dim_in, process.dim_out)
+    """Least-squares solve of the design system, summed back over the hermitian basis."""
+    probes_A, probes_B, herm, design = ref_design(process.dim_in, process.dim_out)
     rhs = [ref_two_time_ev(process, A, B) for A in probes_A for B in probes_B]
-    coeffs = np.linalg.lstsq(design, np.asarray(rhs), rcond=None)[0]
-    return sum(c * H.matrix for c, H in zip(coeffs, herm))
+    coeffs, _, rank, _ = np.linalg.lstsq(design, np.asarray(rhs), rcond=None)
+    assert rank == len(herm)
+    return sum(c * H for c, H in zip(coeffs, herm))
 
 
 # ------------------------------------------------------------ instances
@@ -196,6 +216,27 @@ def test_reconstruct_unique_matches_scalar_loop(dA, dB):
         process = make_process(rng, dA, dB, rank)
         X = reconstruct_unique(process).matrix
         assert np.abs(X - ref_reconstruct(process)).max() <= TOL
+
+
+@FAST
+@given(seed=seeds, dA=dims, dB=dims, rank=ranks)
+def test_reconstruct_unique_matches_least_squares(seed, dA, dB, rank):
+    rng = np.random.default_rng(seed)
+    process = make_process(rng, dA, dB, rank)
+    rec = reconstruct_unique(process)
+    assert np.abs(rec.matrix - ref_reconstruct(process)).max() <= TOL
+    assert np.array_equal(rec.matrix, rec.matrix.conj().T)
+
+
+@pytest.mark.parametrize("dA,dB", [(6, 2), (8, 3)])
+def test_reconstruct_unique_matches_closed_form_at_large_d(dA, dB):
+    # The expansion amplifies roundoff in the grid by at most cond(G_A).
+    rng = np.random.default_rng(dA)
+    for rank in (1, dA):
+        process = make_process(rng, dA, dB, rank)
+        rec = reconstruct_unique(process)
+        tol = rec.condition * dA * dB * np.finfo(float).eps
+        assert np.abs(rec.matrix - canonical_sot(process).matrix).max() <= tol
 
 
 def test_light_touch_residual_matches_scalar_loop():

@@ -177,6 +177,17 @@ def test_sic_povm_invariants():
     assert np.linalg.norm(sum(povm.projectors) / 3 - np.eye(3)) < 1e-10
 
 
+def test_sic_overlap_residual_matches_pairwise_loop():
+    for psi in (sic_fiducial_w(0.3, (1, 2, 0)), sic_fiducial_v(0.75, np.pi, np.pi / 3)):
+        povm = sic_povm(psi)
+        worst = max(
+            abs(np.trace(povm.projectors[a] @ povm.projectors[b]).real - 0.25)
+            for a in range(9)
+            for b in range(a + 1, 9)
+        )
+        assert abs(povm.overlap_residual - worst) <= 1e-15
+
+
 def test_sic_povm_rejects_bad_fiducial():
     with pytest.raises(FailedOverlapCondition):
         sic_povm(np.array([1.0, 0.0, 0.0]))

@@ -6,10 +6,12 @@ from qsot import (
     IsLightTouch,
     NotLightTouch,
     Observable,
+    SingularSystem,
     Process,
     canonical_sot,
     causality_witness,
     discard_prepare,
+    estimate_pdm,
     hermitian_basis,
     identity_channel,
     light_touch_basis_qutrit,
@@ -28,7 +30,7 @@ from qsot import (
     two_time_ev,
 )
 from qsot.channels import apply
-from qsot.sot import StateOverTime, verify_sot_marginals
+from qsot.sot import StateOverTime, _dual_frame, _frames, verify_sot_marginals
 
 
 def qutrit_reference_matrix():
@@ -125,6 +127,37 @@ def test_reconstruct_unique_matches_closed_form():
     assert np.linalg.norm(
         reconstruct_unique(proc4).matrix - canonical_sot(proc4).matrix
     ) < 1e-8
+
+
+def test_condition_numbers():
+    rng = np.random.default_rng(6)
+    proc = random_process(2, 2, rng)
+    basis = pauli_basis(1)
+    evs = np.array([[two_time_ev(proc, A, B) for B in basis] for A in basis])
+    assert pdm_from_correlations(2, 2, basis, basis, evs).condition == 1.0
+    assert estimate_pdm(proc, basis, basis, 10, seed=1).condition == 1.0
+    assert canonical_sot(proc).condition is None
+    assert reconstruct_unique(proc).condition == pytest.approx(1.0, abs=1e-12)
+    rec = reconstruct_unique(random_process(4, 2, rng))
+    assert rec.condition == pytest.approx(133.3005, rel=1e-6)
+
+
+def test_frames_are_dual_cached_and_read_only():
+    probes, dual, condition, basis = _frames(3)
+    assert _frames(3)[1] is dual
+    A = np.array([P.matrix for P in probes])
+    assert np.abs(np.einsum("aij,bji->ab", dual, A) - np.eye(9)).max() < 1e-12
+    assert np.abs(np.einsum("aij,bji->ab", basis, basis) - np.eye(9)).max() < 1e-15
+    for arr in (dual, basis):
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 1.0
+    assert _frames.cache_info().maxsize is not None
+
+
+def test_dual_frame_rejects_singular_gram():
+    Z = Observable(np.diag([1.0, -1.0]))
+    with pytest.raises(SingularSystem):
+        _dual_frame([Observable(np.eye(2)), Z, Z, Observable(-np.eye(2))], 2)
 
 
 def test_causality_witness_values():
