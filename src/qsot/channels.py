@@ -67,6 +67,8 @@ class Process:
 
     def __post_init__(self):
         rho = check_hermitian(self.rho, rtol=1e-9)
+        # Keep the hermitian part, so anti-hermitian roundoff cannot reach the state over time.
+        rho = 0.5 * (rho + rho.conj().T)
         if rho.shape[0] != self.channel.dim_in:
             raise DimensionMismatch(
                 f"state dimension {rho.shape[0]} != channel input {self.channel.dim_in}"

@@ -1,15 +1,13 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 verification failure, 2 parse error, 3 validation
-error. All randomness flows from --seed (default 0xC0FFEE). --threads and the
-QSOT_THREADS fallback cap worker parallelism; computations are deterministic
-regardless of the setting.
+error. All randomness flows from --seed (default 0xC0FFEE): the same command
+with the same seed writes the same document.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 import numpy as np
@@ -69,25 +67,11 @@ def _permutation(text: str) -> tuple:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                         help="seed for all randomness (default 0xC0FFEE)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker cap, 0 = hardware default (QSOT_THREADS fallback)")
     parser.add_argument("--tol", type=float, default=None,
                         help="override default verification tolerances")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("json", "pretty"), default="pretty",
                         help="output formatting")
-
-
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("QSOT_THREADS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidParameter(f"QSOT_THREADS must be an integer, got {env!r}")
-    return 0
 
 
 def _emit(doc: dict, args) -> None:
@@ -149,8 +133,6 @@ def cmd_sample(args) -> int:
     _, pb = io.load_document(args.observable_b, expect_kind="observable")
     O_A = io.observable_from_payload(pa)
     O_B = io.observable_from_payload(pb)
-    if args.shots < 1:
-        raise InvalidParameter("shots must be at least 1")
     record = sample_sequential(process, O_A, O_B, args.shots, args.seed)
     mean, stderr = estimate_ev(record, O_A.spectral.eigenvalues, O_B.spectral.eigenvalues)
     exact = two_time_ev(process, O_A, O_B)
@@ -189,8 +171,6 @@ def cmd_pdm_reconstruct(args) -> int:
     if args.shots is None:
         sot = reconstruct_unique(process)
     else:
-        if args.shots < 1:
-            raise InvalidParameter("shots must be at least 1")
         basis_A = _orthogonal_light_touch_basis(process.dim_in)
         basis_B = hermitian_basis(process.dim_out)
         sot = estimate_pdm(process, basis_A, basis_B, args.shots, args.seed)
@@ -252,7 +232,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _resolve_threads(args)
         return args.func(args)
     except io.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

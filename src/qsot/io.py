@@ -31,11 +31,17 @@ def matrix_to_json(M: np.ndarray) -> list:
 def matrix_from_json(data) -> np.ndarray:
     try:
         M = np.array([[complex(re, im) for re, im in row] for row in data])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed matrix: {exc}") from exc
-    if M.ndim != 2:
-        raise ParseError("matrix must be a 2-d nested list")
+    if M.ndim != 2 or not M.size:
+        raise ParseError("matrix must be a nonempty 2-d nested list")
     return M
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be a JSON object")
+    return value
 
 
 def envelope(kind: str, payload: dict) -> dict:
@@ -65,7 +71,7 @@ def state_doc(rho: np.ndarray) -> dict:
 
 
 def state_from_payload(payload: dict) -> np.ndarray:
-    rho = matrix_from_json(payload.get("matrix"))
+    rho = matrix_from_json(_object(payload, "state payload").get("matrix"))
     if "dim" in payload and rho.shape != (payload["dim"], payload["dim"]):
         raise ParseError("state matrix shape disagrees with declared dim")
     return rho
@@ -91,7 +97,7 @@ def channel_doc(channel: QuantumChannel) -> dict:
 
 
 def channel_from_payload(payload: dict) -> QuantumChannel:
-    kraus_data = payload.get("kraus")
+    kraus_data = _object(payload, "channel payload").get("kraus")
     if not isinstance(kraus_data, list) or not kraus_data:
         raise ParseError("channel payload needs a nonempty 'kraus' list")
     kraus = [matrix_from_json(K) for K in kraus_data]

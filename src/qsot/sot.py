@@ -8,7 +8,6 @@ values with a light-touch first observable.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,11 +19,10 @@ from .errors import (
     InvalidParameter,
     IsLightTouch,
     NotLightTouch,
-    SingularSystem,
 )
 from .linalg import anticommutator, tensor
-from .observables import Observable, gram_matrix, hermitian_basis, light_touch_spanning_set
-from .twotime import _stack, _values, trace_grid, two_time_grid
+from .observables import Observable, gram_matrix, hermitian_basis
+from .twotime import _frames, _stack, _values, trace_grid, two_time_grid
 
 
 @dataclass(frozen=True)
@@ -74,6 +72,8 @@ def pdm_from_correlations(dimA: int, dimB: int, basis_A, basis_B, evs) -> StateO
     basis_B of hermitian observables with Gram matrix c_B * 1; the result is
     sum_ab evs[a][b] A_a (x) B_b / (c_A c_B), with condition number 1.
     """
+    if not len(basis_A) or not len(basis_B):
+        raise DimensionMismatch("both observable bases must be nonempty")
     evs = np.asarray(evs, dtype=float)
     if evs.shape != (len(basis_A), len(basis_B)):
         raise DimensionMismatch(f"evs shape {evs.shape} != ({len(basis_A)}, {len(basis_B)})")
@@ -98,29 +98,6 @@ def _uniform_gram_norm(basis, tol: float = 1e-8) -> float:
     return float(norms.mean())
 
 
-def _dual_frame(observables, dim: int) -> tuple:
-    """The dual frame G^-1 A of hermitian observables A_a with Gram matrix G, and cond(G)."""
-    G = gram_matrix(observables)
-    s = np.linalg.svd(G, compute_uv=False)
-    if s[-1] <= s[0] * len(s) * np.finfo(float).eps:  # NumPy's matrix_rank tolerance
-        raise SingularSystem(f"Gram matrix singular values {s[0]:.3e} .. {s[-1]:.3e}")
-    A = _stack(observables, dim, "frame element", "dimension")
-    return np.linalg.solve(G, A.reshape(len(A), -1)).reshape(A.shape), float(s[0] / s[-1])
-
-
-@functools.lru_cache(maxsize=16)
-def _frames(d: int) -> tuple:
-    """Per dimension: the light-touch spanning set, its dual frame, cond(G), the hermitian basis.
-
-    Caching the observables keeps their spectral decompositions too.
-    """
-    probes = tuple(light_touch_spanning_set(d))
-    dual, condition = _dual_frame(probes, d)
-    basis = _stack(hermitian_basis(d), d, "basis", "dimension")
-    dual.flags.writeable = basis.flags.writeable = False
-    return probes, dual, condition, basis
-
-
 def reconstruct_unique(process: Process) -> StateOverTime:
     """The unique X with Tr[X (A_a (x) B_b)] = <A_a, B_b> for all probe pairs.
 
@@ -130,7 +107,7 @@ def reconstruct_unique(process: Process) -> StateOverTime:
     with A~ = G^-1 A the dual frame; cond(G) is reported as ``condition``.
     """
     dA, dB = process.dim_in, process.dim_out
-    probes_A, dual, condition, _ = _frames(dA)
+    probes_A, dual, condition, _, _ = _frames(dA)
     B = _frames(dB)[3]
     X = _expand(_values(process, probes_A, B), dual, B)
     return StateOverTime(matrix=X, dimA=dA, dimB=dB, provenance="reconstructed",

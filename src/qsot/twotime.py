@@ -8,13 +8,14 @@ P(i, j) = Tr[E(P_i rho P_i) Q_j].
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import Process, isometry_embed, random_hermitian
-from .errors import DimensionMismatch, InvalidParameter, NumericalFailure
-from .observables import Observable, hermitian_basis, light_touch_spanning_set
+from .errors import DimensionMismatch, InvalidParameter, NumericalFailure, SingularSystem
+from .observables import Observable, gram_matrix, hermitian_basis, light_touch_spanning_set
 
 PROB_NEG_LIMIT = 1e-9
 
@@ -187,10 +188,41 @@ def representability_residual(process: Process, X, probes) -> float:
     return float(np.max(dev / np.maximum(1.0, norm_A[ia] * norm_B[ib])))
 
 
+def _dual_frame(observables, dim: int) -> tuple:
+    """The dual frame G^-1 A of hermitian observables A_a with Gram matrix G, and cond(G)."""
+    G = gram_matrix(observables)
+    s = np.linalg.svd(G, compute_uv=False)
+    if s[-1] <= s[0] * len(s) * np.finfo(float).eps:  # NumPy's matrix_rank tolerance
+        raise SingularSystem(f"Gram matrix singular values {s[0]:.3e} .. {s[-1]:.3e}")
+    A = _stack(observables, dim, "frame element", "dimension")
+    return np.linalg.solve(G, A.reshape(len(A), -1)).reshape(A.shape), float(s[0] / s[-1])
+
+
+@functools.lru_cache(maxsize=16)
+def _frames(d: int) -> tuple:
+    """Per dimension: the light-touch spanning set, its dual frame, cond(G), the hermitian basis
+    as a stack and as observables.
+
+    Shared by ``light_touch_probes`` and ``reconstruct_unique``. Every array is
+    read-only, the observables' matrices included; caching the observables
+    keeps their spectral decompositions too.
+    """
+    probes = tuple(light_touch_spanning_set(d))
+    dual, condition = _dual_frame(probes, d)
+    basis = tuple(hermitian_basis(d))
+    stack = _stack(basis, d, "basis", "dimension")
+    for M in (dual, stack, *(obs.matrix for obs in probes + basis)):
+        M.flags.writeable = False
+    return probes, dual, condition, stack, basis
+
+
 def light_touch_probes(dim_in: int, dim_out: int) -> list:
-    """Product probes with light-touch first factors: spanning set x hermitian basis."""
-    basis_B = hermitian_basis(dim_out)
-    return [(A, B) for A in light_touch_spanning_set(dim_in) for B in basis_B]
+    """Product probes with light-touch first factors: spanning set x hermitian basis.
+
+    The observables are shared between calls, and their matrices are read-only.
+    """
+    basis_B = _frames(dim_out)[4]
+    return [(A, B) for A in _frames(dim_in)[0] for B in basis_B]
 
 
 def general_probes(dim_in: int, dim_out: int, rng: np.random.Generator, count: int = 20) -> list:

@@ -198,3 +198,14 @@ def test_process_validation():
         Process(identity_channel(2), np.diag([1.5, -0.5]))
     with pytest.raises(DimensionMismatch):
         Process(identity_channel(2), np.eye(3) / 3)
+
+
+def test_process_stores_hermitian_rho():
+    rng = np.random.default_rng(10)
+    rho = random_density(3, rng)
+    skew = random_hermitian(3, rng) * 1j
+    stored = Process(identity_channel(3), rho + 1e-12 * skew).rho
+    assert not np.array_equal(rho + 1e-12 * skew, (rho + 1e-12 * skew).conj().T)
+    assert np.array_equal(stored, stored.conj().T)
+    exact = np.diag([0.25, 0.75]) + np.array([[0, 0.1 + 0.2j], [0.1 - 0.2j, 0]])
+    assert np.array_equal(Process(identity_channel(2), exact).rho, exact)

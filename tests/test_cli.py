@@ -199,15 +199,6 @@ def test_envelope_validation():
         io.matrix_from_json([[1, 2], [3]])
 
 
-def test_threads_env_fallback(tmp_path, monkeypatch):
-    proc_file = write_process(tmp_path, Process(identity_channel(2), np.eye(2) / 2))
-    out = tmp_path / "sot.json"
-    monkeypatch.setenv("QSOT_THREADS", "2")
-    assert main(["sot", proc_file, "--out", str(out)]) == 0
-    monkeypatch.setenv("QSOT_THREADS", "zebra")
-    assert main(["sot", proc_file, "--out", str(out)]) == 3
-
-
 def test_pretty_and_json_formats(tmp_path, capsys):
     proc_file = write_process(tmp_path, Process(identity_channel(2), np.eye(2) / 2))
     assert main(["sot", proc_file, "--format", "json"]) == 0
@@ -277,3 +268,39 @@ def test_verify_tol_zero_is_honoured(tmp_path, capsys):
         "general-probe residual of witness": 0.1,
     }
     assert "tolerance 0)" in capsys.readouterr().err
+
+
+def test_threads_option_is_gone(tmp_path, capsys):
+    proc_file = write_process(tmp_path, Process(identity_channel(2), np.eye(2) / 2))
+    code, line = _parse_error(["sot", proc_file, "--threads", "2"], capsys)
+    assert code == 2
+    assert "--threads" in line
+
+
+def test_shots_beyond_int64_exit_3(tmp_path, capsys):
+    proc_file = write_process(tmp_path, Process(identity_channel(2), np.eye(2) / 2))
+    obs_file = write_observable(tmp_path, PAULI[3], "sz.json")
+    for argv in (["sample", proc_file, obs_file, obs_file], ["pdm-reconstruct", proc_file]):
+        assert main([*argv, "--shots", str(2**63)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "2^63" in err
+
+
+def _process_payload(**fields):
+    payload = io.process_doc(Process(identity_channel(2), np.eye(2) / 2))["payload"]
+    payload.update(fields)
+    return payload
+
+
+@pytest.mark.parametrize("payload", [
+    _process_payload(channel=[[1, 0], [0, 1]]),
+    _process_payload(state=[[1, 0], [0, 1]]),
+    _process_payload(channel={"kraus": [[[]]]}),
+    _process_payload(state={"matrix": [[]]}),
+    _process_payload(channel={"kraus": [[[[10**400, 0]]]]}),
+], ids=["channel-list", "state-list", "zero-size-kraus", "zero-size-state", "huge-int"])
+def test_malformed_process_payload_exits_2(tmp_path, capsys, payload):
+    path = tmp_path / "process.json"
+    io.dump_document(io.envelope("process", payload), str(path))
+    assert main(["sot", str(path)]) == 2
+    assert "Traceback" not in capsys.readouterr().err

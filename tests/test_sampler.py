@@ -21,8 +21,9 @@ from qsot import (
     sic_povm,
     two_time_ev,
 )
+from qsot import sampler
 from qsot.observables import PAULI
-from qsot.sampler import SHARD_SIZE, _shard_rng
+from qsot.sampler import _rng
 
 
 def test_deterministic_outcome():
@@ -52,7 +53,7 @@ def test_determinism_across_calls_and_shards():
     proc = random_process(2, 2, rng)
     O_A = Observable(PAULI[1])
     O_B = Observable(PAULI[3])
-    shots = SHARD_SIZE + 123  # spans a shard boundary
+    shots = 50_000
     r1 = sample_sequential(proc, O_A, O_B, shots, seed=42)
     r2 = sample_sequential(proc, O_A, O_B, shots, seed=42)
     assert np.array_equal(r1.counts, r2.counts)
@@ -107,7 +108,7 @@ def test_qutrit_protocol_concentration():
     assert abs(mean - exact) <= 5 * max(stderr, 1e-12)
 
 
-def test_estimate_pdm_exact_hook_matches_direct_expansion():
+def test_estimate_pdm_exact_hook_matches_direct_expansion(monkeypatch):
     rng = np.random.default_rng(4)
     proc = random_process(2, 2, rng)
     basis = pauli_basis(1)
@@ -115,7 +116,8 @@ def test_estimate_pdm_exact_hook_matches_direct_expansion():
     def exact_ev(process, A, B, shots, seed):
         return two_time_ev(process, A, B)
 
-    sot = estimate_pdm(proc, basis, basis, 1, seed=0, _ev_fn=exact_ev)
+    monkeypatch.setattr(sampler, "_pair_ev", exact_ev)
+    sot = estimate_pdm(proc, basis, basis, 1, seed=0)
     evs = np.array([[two_time_ev(proc, A, B) for B in basis] for A in basis])
     direct = pdm_from_correlations(2, 2, basis, basis, evs)
     assert sot.provenance == "sampled"
@@ -154,31 +156,53 @@ def test_seed_range_validation():
 def test_shard_streams_distinct_above_2_pow_63():
     # A list key would pass through float64 here: 2^63 and 2^63 + 1 collide,
     # and 2^64 - 1 would replay seed 0.
-    def draws(seed, shard=0):
-        return _shard_rng(seed, shard).random(4)
+    def draws(seed):
+        return _rng(seed).random(4)
 
     assert not np.array_equal(draws(2**63), draws(2**63 + 1))
     assert not np.array_equal(draws(2**64 - 1), draws(0))
-    assert not np.array_equal(draws(2**63, 0), draws(2**63, 1))
 
 
 def test_shard_streams_below_2_pow_63_unchanged():
     for seed in (0, 5, 0xC0FFEE, 2**32 + 3, 2**63 - 1):
-        for shard in (0, 2):
-            legacy = np.random.Generator(np.random.Philox(key=[seed, shard])).random(4)
-            assert np.array_equal(_shard_rng(seed, shard).random(4), legacy)
+        legacy = np.random.Generator(np.random.Philox(key=[seed, 0])).random(4)
+        assert np.array_equal(_rng(seed).random(4), legacy)
 
 
-def test_estimate_pdm_pair_streams_distinct_at_large_seed():
+def test_estimate_pdm_pair_streams_distinct_at_large_seed(monkeypatch):
     rng = np.random.default_rng(6)
     proc = random_process(2, 2, rng)
     basis = pauli_basis(1)
     streams = []
 
     def record_stream(process, A, B, shots, seed):
-        streams.append(tuple(_shard_rng(seed, 0).random(4)))
+        streams.append(tuple(_rng(seed).random(4)))
         return two_time_ev(process, A, B)
 
-    estimate_pdm(proc, basis, basis, 1, seed=4_000_000_000, _ev_fn=record_stream)
+    monkeypatch.setattr(sampler, "_pair_ev", record_stream)
+    estimate_pdm(proc, basis, basis, 1, seed=4_000_000_000)
     assert len(streams) == 16
     assert len(set(streams)) == 16
+
+
+def test_shots_range():
+    proc = Process(identity_channel(2), np.eye(2) / 2)
+    sz = Observable(PAULI[3])
+    for shots in (0, -1, 2**63, 2**64):
+        with pytest.raises(InvalidParameter):
+            sample_sequential(proc, sz, sz, shots, seed=1)
+        with pytest.raises(InvalidParameter):
+            estimate_pdm(proc, pauli_basis(1), pauli_basis(1), shots, seed=1)
+    record = sample_sequential(proc, sz, sz, 2**63 - 1, seed=1)
+    assert record.counts.sum() == 2**63 - 1
+
+
+def test_huge_shot_count_is_one_draw():
+    rng = np.random.default_rng(8)
+    proc = random_process(3, 2, rng)
+    O_A = Observable(np.diag([2.0, 0.0, -1.0]))
+    O_B = Observable(PAULI[1])
+    record = sample_sequential(proc, O_A, O_B, 10**15, seed=3)
+    assert record.counts.sum() == 10**15
+    dist = joint_distribution(proc, O_A, O_B)
+    assert np.abs(record.counts / 10**15 - dist.probs).max() < 1e-6

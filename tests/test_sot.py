@@ -3,6 +3,7 @@ import pytest
 
 from qsot import (
     BasisNotOrthogonal,
+    DimensionMismatch,
     IsLightTouch,
     NotLightTouch,
     Observable,
@@ -30,7 +31,8 @@ from qsot import (
     two_time_ev,
 )
 from qsot.channels import apply
-from qsot.sot import StateOverTime, _dual_frame, _frames, verify_sot_marginals
+from qsot.sot import StateOverTime, verify_sot_marginals
+from qsot.twotime import _dual_frame, _frames, light_touch_probes
 
 
 def qutrit_reference_matrix():
@@ -103,6 +105,14 @@ def test_pdm_from_correlations_zero_data():
     assert np.linalg.norm(sot.matrix) == 0.0
 
 
+def test_pdm_from_correlations_rejects_empty_bases():
+    basis = pauli_basis(1)
+    with pytest.raises(DimensionMismatch):
+        pdm_from_correlations(2, 2, [], [], np.zeros((0, 0)))
+    with pytest.raises(DimensionMismatch):
+        pdm_from_correlations(2, 2, basis, [], np.zeros((4, 0)))
+
+
 def test_pdm_from_correlations_rejects_bad_bases():
     basis = pauli_basis(1)
     with pytest.raises(NotLightTouch):
@@ -143,7 +153,7 @@ def test_condition_numbers():
 
 
 def test_frames_are_dual_cached_and_read_only():
-    probes, dual, condition, basis = _frames(3)
+    probes, dual, condition, basis, _ = _frames(3)
     assert _frames(3)[1] is dual
     A = np.array([P.matrix for P in probes])
     assert np.abs(np.einsum("aij,bji->ab", dual, A) - np.eye(9)).max() < 1e-12
@@ -152,6 +162,19 @@ def test_frames_are_dual_cached_and_read_only():
         with pytest.raises(ValueError):
             arr[0, 0, 0] = 1.0
     assert _frames.cache_info().maxsize is not None
+
+
+def test_light_touch_probes_share_the_frame_cache():
+    probes, _, _, stack, basis = _frames(3)
+    _, _, _, _, basis_2 = _frames(2)
+    pairs = light_touch_probes(3, 2)
+    assert len(pairs) == len(probes) * len(basis_2)
+    assert all(A is probes[k // 4] and B is basis_2[k % 4] for k, (A, B) in enumerate(pairs))
+    assert light_touch_probes(3, 2)[5][0] is pairs[5][0]
+    assert np.array_equal(stack, [B.matrix for B in basis])
+    for obs in (probes[1], basis[2], basis_2[0]):
+        with pytest.raises(ValueError):
+            obs.matrix[0, 0] = 1.0
 
 
 def test_dual_frame_rejects_singular_gram():
