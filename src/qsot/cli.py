@@ -15,6 +15,7 @@ import numpy as np
 from . import io
 from .errors import InvalidParameter, ParameterOutOfRange, QsotError
 from .observables import (
+    Observable,
     hermitian_basis,
     light_touch_basis_qutrit,
     pauli_basis,
@@ -155,13 +156,16 @@ def cmd_sample(args) -> int:
 
 
 def _orthogonal_light_touch_basis(d: int):
+    if d == 1:
+        return [Observable(np.eye(1))]  # the scalar 1: light-touch, Gram matrix 1
     if d == 3:
         return light_touch_basis_qutrit(sic_povm(sic_fiducial_w(0.0)))
     m = d.bit_length() - 1
     if d == 1 << m:
         return pauli_basis(m)
     raise InvalidParameter(
-        f"no orthogonal light-touch basis available for dimension {d}"
+        f"--shots needs an orthogonal light-touch basis, and there is none for dimension {d} "
+        f"(available: 1, 3 and powers of 2)"
     )
 
 

@@ -138,6 +138,8 @@ def sot_doc(sot: StateOverTime) -> dict:
     }
     if sot.condition is not None:
         payload["condition_number"] = sot.condition
+    if sot.stderr is not None:
+        payload["stderr_frobenius"] = sot.stderr
     return envelope("sot", payload)
 
 

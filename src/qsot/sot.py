@@ -31,6 +31,8 @@ class StateOverTime:
 
     ``condition`` is cond(G) of the first-time observables an expansion used:
     how far it can amplify errors in the correlation data (None: closed form).
+    ``stderr`` is the Frobenius standard error of a sampled estimate (None:
+    not sampled).
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -38,6 +40,7 @@ class StateOverTime:
     dimB: int
     provenance: str  # "closed-form" | "reconstructed" | "sampled"
     condition: float | None = None
+    stderr: float | None = None
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)

@@ -18,6 +18,7 @@ from .errors import DimensionMismatch, InvalidParameter, NumericalFailure, Singu
 from .observables import Observable, gram_matrix, hermitian_basis, light_touch_spanning_set
 
 PROB_NEG_LIMIT = 1e-9
+PROB_SUM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -126,21 +127,38 @@ def trace_grid(X, As, Bs) -> np.ndarray:
     return _traces(_check_sot_shape(X, A.shape[1], B.shape[1]), A, B)
 
 
+def _joint_table(process: Process, As, Bs) -> tuple:
+    """P(i, j) = Tr[E(P_i rho P_i) Q_j] for every cluster of every A against every cluster of every B.
+
+    The eigenprojectors of all first observables are sandwiched, evolved and
+    paired with those of all second observables in one batch. The table is
+    checked against PROB_NEG_LIMIT and clamped at 0. ``starts_A`` and
+    ``starts_B`` hold each observable's first row and column with the totals
+    appended, so the joint distribution of (As[a], Bs[b]) is the block
+    table[starts_A[a]:starts_A[a + 1], starts_B[b]:starts_B[b + 1]].
+    """
+    _check_dim(As, process.dim_in, "O_A", "channel input")
+    _check_dim(Bs, process.dim_out, "O_B", "channel output")
+    decA, decB = [A.spectral for A in As], [B.spectral for B in Bs]
+    P = np.array([P for dec in decA for P in dec.projectors])
+    Q = np.array([Q for dec in decB for Q in dec.projectors])
+    table = _pairings(_evolve(process.channel, P @ process.rho @ P), Q)
+    if table.min() < -PROB_NEG_LIMIT:
+        raise NumericalFailure(f"probability {table.min()} below clamping limit")
+    starts_A = np.cumsum([0] + [len(dec.eigenvalues) for dec in decA])
+    starts_B = np.cumsum([0] + [len(dec.eigenvalues) for dec in decB])
+    return np.maximum(table, 0.0), starts_A, starts_B
+
+
 def joint_distribution(process: Process, O_A: Observable, O_B: Observable) -> JointDistribution:
     """P(i, j) = Tr[E(P_i rho P_i) Q_j] over distinct-eigenvalue projectors."""
-    _check_dim([O_A], process.dim_in, "O_A", "channel input")
-    _check_dim([O_B], process.dim_out, "O_B", "channel output")
-    decA, decB = O_A.spectral, O_B.spectral
-    P = np.array(decA.projectors)
-    probs = _pairings(_evolve(process.channel, P @ process.rho @ P), np.array(decB.projectors))
-    if probs.min() < -PROB_NEG_LIMIT:
-        raise NumericalFailure(f"probability {probs.min()} below clamping limit")
-    probs = np.maximum(probs, 0.0)
+    probs = _joint_table(process, [O_A], [O_B])[0]
     total = probs.sum()
-    if abs(total - 1.0) > 1e-8:
+    if abs(total - 1.0) > PROB_SUM_TOL:
         raise NumericalFailure(f"joint distribution sums to {total}")
     return JointDistribution(
-        outcomes_A=decA.eigenvalues.copy(), outcomes_B=decB.eigenvalues.copy(), probs=probs
+        outcomes_A=O_A.spectral.eigenvalues.copy(), outcomes_B=O_B.spectral.eigenvalues.copy(),
+        probs=probs,
     )
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qsot import Process, canonical_sot, identity_channel, reconstruct_unique
+from qsot import Process, canonical_sot, identity_channel, random_process, reconstruct_unique
 from qsot.cli import main
 from qsot import io
 from qsot.observables import PAULI
@@ -175,6 +175,37 @@ def test_condition_number_only_for_expansions(tmp_path):
     assert "condition_number" not in io.sot_doc(canonical_sot(qutrit_process()))["payload"]
     rec = reconstruct_unique(qutrit_process())
     assert io.sot_doc(rec)["payload"]["condition_number"] == rec.condition
+
+
+def test_stderr_frobenius_only_for_sampled(tmp_path):
+    proc_file = write_process(tmp_path, qutrit_process())
+    out = tmp_path / "out.json"
+    payloads = {}
+    for argv in (["sot"], ["pdm-reconstruct"], ["pdm-reconstruct", "--shots", "1000"]):
+        assert main([argv[0], proc_file, *argv[1:], "--out", str(out)]) == 0
+        payloads[" ".join(argv)] = io.load_document(str(out), expect_kind="sot")[1]
+    assert "stderr_frobenius" not in payloads["sot"]
+    assert "stderr_frobenius" not in payloads["pdm-reconstruct"]
+    stderr = payloads["pdm-reconstruct --shots 1000"]["stderr_frobenius"]
+    M = io.matrix_from_json(payloads["pdm-reconstruct --shots 1000"]["matrix"])
+    assert 0.0 < np.linalg.norm(M - canonical_sot(qutrit_process()).matrix) <= 3 * stderr
+
+
+def test_pdm_reconstruct_sampled_one_dimensional(tmp_path):
+    proc_file = write_process(tmp_path, Process(identity_channel(1), np.eye(1)))
+    out = tmp_path / "pdm.json"
+    assert main(["pdm-reconstruct", proc_file, "--shots", "10", "--out", str(out)]) == 0
+    _, payload = io.load_document(str(out), expect_kind="sot")
+    assert io.matrix_from_json(payload["matrix"]).tolist() == [[1.0]]
+    assert payload["stderr_frobenius"] == 0.0
+
+
+def test_pdm_reconstruct_sampled_without_basis_exits_3(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    proc_file = write_process(tmp_path, random_process(5, 2, rng))
+    assert main(["pdm-reconstruct", proc_file, "--shots", "10"]) == 3
+    err = capsys.readouterr().err
+    assert "dimension 5" in err and "--shots" in err
 
 
 def test_document_roundtrip(tmp_path):

@@ -2,36 +2,48 @@
 
 The ``ref_*`` functions are those loops, kept slow and obvious: one Kraus
 application per eigenprojector and probe pair, one ``np.kron`` per trace,
-and the least-squares reconstruction over a (dA dB)^2-square design matrix
-that the dual-frame expansion replaced. Every grid value and reconstruction
-must match them within 1e-12 on seeded random instances.
+the least-squares reconstruction over a (dA dB)^2-square design matrix
+that the dual-frame expansion replaced, and the sampled reconstruction with
+one ``sample_sequential`` and one ``estimate_ev`` per basis pair. Every grid
+value and reconstruction must match them within 1e-12 on seeded random
+instances, and a sampled reconstruction exactly.
 """
 
 import functools
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qsot import (
     DimensionMismatch,
+    NumericalFailure,
     Observable,
     Process,
     canonical_sot,
+    estimate_ev,
+    estimate_pdm,
     joint_distribution,
+    light_touch_basis_qutrit,
     maximality_counterexample,
+    pauli_basis,
+    pdm_from_correlations,
     random_channel,
     random_hermitian,
     reconstruct_unique,
     representability_residual,
+    sample_sequential,
+    sic_fiducial_w,
+    sic_povm,
     trace_grid,
     two_time_ev,
     two_time_grid,
 )
+from qsot import sampler
 from qsot.channels import apply
-from qsot.observables import hermitian_basis, light_touch_spanning_set
-from qsot.twotime import light_touch_probes, sot_trace_value
+from qsot.observables import gram_matrix, hermitian_basis, light_touch_spanning_set
+from qsot.twotime import _joint_table, light_touch_probes, sot_trace_value
 
 TOL = 1e-12
 KINDS = ("general", "light-touch", "scalar", "degenerate", "near-degenerate")
@@ -97,6 +109,26 @@ def ref_reconstruct(process):
     return sum(c * H for c, H in zip(coeffs, herm))
 
 
+def ref_estimate_pdm(process, basis_A, basis_B, shots, seed):
+    """One sample_sequential and one estimate_ev per basis pair, with the pair's own seed.
+
+    Returns the expanded matrix and the Frobenius standard error
+    sqrt(sum_ab s_ab^2 / (c_A c_B)).
+    """
+    means = np.zeros((len(basis_A), len(basis_B)))
+    sq_errors = 0.0
+    for a, A in enumerate(basis_A):
+        for b, B in enumerate(basis_B):
+            pair_seed = (seed * 0x9E3779B9 + a * len(basis_B) + b) & 0xFFFFFFFFFFFFFFFF
+            record = sample_sequential(process, A, B, shots, pair_seed)
+            means[a, b], stderr = estimate_ev(record, A.spectral.eigenvalues,
+                                              B.spectral.eigenvalues)
+            sq_errors += stderr ** 2
+    sot = pdm_from_correlations(process.dim_in, process.dim_out, basis_A, basis_B, means)
+    c_AB = gram_matrix(basis_A[:1])[0, 0] * gram_matrix(basis_B[:1])[0, 0]
+    return sot.matrix, np.sqrt(sq_errors / c_AB)
+
+
 # ------------------------------------------------------------ instances
 
 def unitary(rng, d):
@@ -142,6 +174,31 @@ def observables(rng, d, kinds):
     return [make_observable(rng, d, kind) for kind in kinds]
 
 
+def rotated(rng, mats):
+    """The matrices under one random unitary conjugation and one random scale."""
+    U, scale = unitary(rng, len(mats[0])), rng.uniform(0.5, 2.0)
+    return [Observable(scale * U @ M @ U.conj().T) for M in mats]
+
+
+def light_touch_basis(rng, d):
+    """An orthogonal light-touch basis of d x d hermitian matrices, d in 1..4."""
+    if d == 1:
+        return rotated(rng, [np.eye(1)])
+    if d == 3:
+        povm = sic_povm(sic_fiducial_w(rng.uniform(0.0, 2 * np.pi)))
+        return rotated(rng, [L.matrix for L in light_touch_basis_qutrit(povm)])
+    return rotated(rng, [P.matrix for P in pauli_basis(d.bit_length() - 1)])
+
+
+def orthogonal_basis(rng, d, generic):
+    """hermitian_basis(d), mixing 1-, 2- and 3-cluster elements; generic: up to d clusters each."""
+    mats = np.array([H.matrix for H in hermitian_basis(d)])
+    if generic:
+        O, _ = np.linalg.qr(rng.standard_normal((d * d, d * d)))
+        mats = np.einsum("ab,bij->aij", O, mats)
+    return rotated(rng, list(mats))
+
+
 seeds = st.integers(0, 2**32 - 1)
 dims = st.integers(2, 5)
 ranks = st.integers(1, 5)
@@ -173,6 +230,60 @@ def test_joint_distribution_matches_scalar_loop(seed, dA, dB, rank, kind_A, kind
     dist = joint_distribution(process, O_A, O_B)
     assert np.abs(dist.probs - ref_joint_probs(process, O_A, O_B)).max() <= TOL
     assert dist.probs.min() >= 0.0
+
+
+@FAST
+@given(seed=seeds, dA=dims, dB=dims, rank=ranks, kinds_A=kind_lists, kinds_B=kind_lists)
+def test_joint_table_blocks_match_joint_distribution(seed, dA, dB, rank, kinds_A, kinds_B):
+    rng = np.random.default_rng(seed)
+    process = make_process(rng, dA, dB, rank)
+    As, Bs = observables(rng, dA, kinds_A), observables(rng, dB, kinds_B)
+    table, starts_A, starts_B = _joint_table(process, As, Bs)
+    assert table.shape == (starts_A[-1], starts_B[-1])
+    for a, A in enumerate(As):
+        for b, B in enumerate(Bs):
+            block = table[starts_A[a]:starts_A[a + 1], starts_B[b]:starts_B[b + 1]]
+            assert np.abs(block - joint_distribution(process, A, B).probs).max() <= TOL
+            assert np.abs(block - ref_joint_probs(process, A, B)).max() <= TOL
+
+
+# ------------------------------------------------------------ sampled reconstruction
+
+@FAST
+# Generic 4-cluster elements give pairs of 8 cells, which numpy sums pairwise:
+# this instance fails if padded rows are summed whole.
+@example(seed=0, dA=2, dB=4, rank=4, generic=True, shots=100_000, pdm_seed=0)
+@given(seed=seeds, dA=st.integers(1, 4), dB=st.integers(1, 4), rank=ranks,
+       generic=st.booleans(), shots=st.one_of(st.sampled_from([1, 2]), st.integers(1, 10**6)),
+       pdm_seed=st.integers(0, 2**64 - 1))
+def test_estimate_pdm_matches_per_pair_loop(seed, dA, dB, rank, generic, shots, pdm_seed):
+    rng = np.random.default_rng(seed)
+    process = make_process(rng, dA, dB, rank)
+    basis_A, basis_B = light_touch_basis(rng, dA), orthogonal_basis(rng, dB, generic)
+    est = estimate_pdm(process, basis_A, basis_B, shots, pdm_seed)
+    matrix, stderr = ref_estimate_pdm(process, basis_A, basis_B, shots, pdm_seed)
+    assert np.array_equal(est.matrix, matrix)
+    assert abs(est.stderr - stderr) <= TOL * max(1.0, stderr)
+    assert est.provenance == "sampled" and est.condition == 1.0
+
+
+def test_estimate_pdm_rejects_empty_and_wrong_dimension_bases():
+    process = make_process(np.random.default_rng(9), 2, 3, 2)
+    A, B = pauli_basis(1), hermitian_basis(3)
+    for basis_A, basis_B in [([], B), (A, []), (A + [Observable(np.eye(3))], B),
+                             (A, B[:1] + [Observable(np.eye(2))])]:
+        with pytest.raises(DimensionMismatch):
+            estimate_pdm(process, basis_A, basis_B, 10, seed=1)
+
+
+def test_estimate_pdm_names_the_pair_that_does_not_sum_to_one(monkeypatch):
+    process = make_process(np.random.default_rng(10), 2, 2, 2)
+    basis = pauli_basis(1)
+    table, starts_A, starts_B = _joint_table(process, basis, basis)
+    table[starts_A[2]:starts_A[3], starts_B[1]:starts_B[2]] *= 1.0 + 1e-6
+    monkeypatch.setattr(sampler, "_joint_table", lambda *args: (table, starts_A, starts_B))
+    with pytest.raises(NumericalFailure, match=r"pair \(2, 1\) sums to 1\.00000"):
+        estimate_pdm(process, basis, basis, 10, seed=1)
 
 
 # ------------------------------------------------------------ trace side

@@ -10,6 +10,7 @@ from qsot import (
     canonical_sot,
     estimate_ev,
     estimate_pdm,
+    hermitian_basis,
     identity_channel,
     joint_distribution,
     light_touch_basis_qutrit,
@@ -108,17 +109,17 @@ def test_qutrit_protocol_concentration():
     assert abs(mean - exact) <= 5 * max(stderr, 1e-12)
 
 
-def test_estimate_pdm_exact_hook_matches_direct_expansion(monkeypatch):
+def test_estimate_pdm_matches_direct_expansion():
     rng = np.random.default_rng(4)
     proc = random_process(2, 2, rng)
     basis = pauli_basis(1)
-
-    def exact_ev(process, A, B, shots, seed):
-        return two_time_ev(process, A, B)
-
-    monkeypatch.setattr(sampler, "_pair_ev", exact_ev)
-    sot = estimate_pdm(proc, basis, basis, 1, seed=0)
-    evs = np.array([[two_time_ev(proc, A, B) for B in basis] for A in basis])
+    seed, shots = 5, 1000
+    evs = np.zeros((4, 4))
+    for a, A in enumerate(basis):
+        for b, B in enumerate(basis):
+            record = sample_sequential(proc, A, B, shots, seed * 0x9E3779B9 + 4 * a + b)
+            evs[a, b] = estimate_ev(record, A.spectral.eigenvalues, B.spectral.eigenvalues)[0]
+    sot = estimate_pdm(proc, basis, basis, shots, seed=seed)
     direct = pdm_from_correlations(2, 2, basis, basis, evs)
     assert sot.provenance == "sampled"
     assert np.array_equal(sot.matrix, direct.matrix)
@@ -131,6 +132,21 @@ def test_estimate_pdm_converges():
     sot = estimate_pdm(proc, basis, basis, 200000, seed=9)
     dist = np.linalg.norm(sot.matrix - canonical_sot(proc).matrix)
     assert dist < 0.05
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_frobenius_stderr_covers_the_error(d):
+    rng = np.random.default_rng(10 + d)
+    proc = random_process(d, d, rng)
+    basis_A = pauli_basis(1) if d == 2 else light_touch_basis_qutrit(sic_povm(sic_fiducial_w(0.0)))
+    basis_B = hermitian_basis(d)
+    exact = canonical_sot(proc).matrix
+    covered = 0
+    for seed in range(50):
+        sot = estimate_pdm(proc, basis_A, basis_B, 2000, seed=seed)
+        assert sot.stderr > 0.0
+        covered += np.linalg.norm(sot.matrix - exact) <= 2 * sot.stderr
+    assert covered >= 45
 
 
 def test_sampler_input_validation():
@@ -175,11 +191,11 @@ def test_estimate_pdm_pair_streams_distinct_at_large_seed(monkeypatch):
     basis = pauli_basis(1)
     streams = []
 
-    def record_stream(process, A, B, shots, seed):
+    def record_stream(seed):
         streams.append(tuple(_rng(seed).random(4)))
-        return two_time_ev(process, A, B)
+        return _rng(seed)
 
-    monkeypatch.setattr(sampler, "_pair_ev", record_stream)
+    monkeypatch.setattr(sampler, "_rng", record_stream)
     estimate_pdm(proc, basis, basis, 1, seed=4_000_000_000)
     assert len(streams) == 16
     assert len(set(streams)) == 16
