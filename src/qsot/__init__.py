@@ -17,7 +17,6 @@ from .channels import (
     discard_prepare,
     identity_channel,
     isometry_embed,
-    jamiolkowski,
     make_standard,
     random_channel,
     random_density,

@@ -44,6 +44,7 @@ class QuantumChannel:
 
     @property
     def jamiolkowski(self) -> np.ndarray:
+        """The Jamiolkowski matrix sum_{ij} E_ij (x) E(E_ji)."""
         return self._jam
 
 
@@ -123,11 +124,6 @@ def _jamiolkowski_from_kraus(kraus, dim_in: int, dim_out: int) -> np.ndarray:
         choi += np.outer(v, v.conj())
     jam = choi.reshape(dim_in, dim_out, dim_in, dim_out).transpose(2, 1, 0, 3).reshape(d, d)
     return jam
-
-
-def jamiolkowski(channel: QuantumChannel) -> np.ndarray:
-    """The Jamiolkowski matrix sum_{ij} E_ij (x) E(E_ji)."""
-    return channel.jamiolkowski
 
 
 def choi_matrix(channel: QuantumChannel) -> np.ndarray:

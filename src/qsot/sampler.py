@@ -5,7 +5,8 @@ follow Multinomial(n, P(i, j)), with P(i, j) the exact joint distribution. One
 multinomial draw from one counter-based Philox stream keyed on the seed gives
 them, so counts are a pure function of (seed, shots). ``estimate_pdm`` takes
 the joint distributions of all basis pairs from one batched table and draws
-each pair from its own stream.
+each pair from its own stream: Philox streams are fixed by their keys, so one
+generator re-keyed before each pair gives the counts of a fresh one per pair.
 """
 
 from __future__ import annotations
@@ -50,6 +51,25 @@ def _rng(seed: int) -> np.random.Generator:
     # The key is built as uint64: from a Python list numpy would convert keys
     # of 2^63 and above through float64, so that distinct seeds collide.
     return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+
+
+def _rekey(gen: np.random.Generator, seed: int) -> None:
+    """Reset a Philox generator in place to the start of the stream ``_rng(seed)`` gives.
+
+    Key [seed, 0], counter 0, an empty buffer and no cached 32-bit half, so
+    nothing of the previous stream carries over. Setting the state skips the
+    OS-entropy ``SeedSequence`` that each ``Philox`` construction fills and
+    the key then overrides.
+    """
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([seed, 0], dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 def sample_sequential(process: Process, O_A: Observable, O_B: Observable,
@@ -105,8 +125,9 @@ def estimate_pdm(process: Process, basis_A, basis_B, shots_per_pair: int,
     probability table over all eigenprojectors of both bases, and each block
     is checked to sum to 1. Pair k = a len(basis_B) + b draws its counts as
     one multinomial over exactly its cells from its own Philox stream, keyed
-    on (seed * 0x9E3779B9 + k) mod 2^64: they are the counts
-    ``sample_sequential`` gives for the pair at that seed, so a given seed
+    on (seed * 0x9E3779B9 + k) mod 2^64. One generator serves every pair and
+    is re-keyed to the pair's stream before its draw, so the counts are those
+    ``sample_sequential`` gives for the pair at that seed, and a given seed
     yields the same counts as in earlier versions. The means and standard
     errors of ``estimate_ev`` follow for all pairs at once. ``stderr`` is the
     Frobenius standard error sqrt(sum_ab s_ab^2 / (c_A c_B)) of the
@@ -137,9 +158,10 @@ def estimate_pdm(process: Process, basis_A, basis_B, shots_per_pair: int,
         k = off[0]
         raise NumericalFailure(f"joint distribution of pair ({a[k]}, {b[k]}) sums to {totals[k]}")
     counts = np.zeros(probs.shape, dtype=np.int64)
+    gen = _rng(0)
     for k, size in enumerate(sizes.tolist()):
-        pair_seed = (seed * 0x9E3779B9 + k) & 0xFFFFFFFFFFFFFFFF
-        counts[k, :size] = _rng(pair_seed).multinomial(shots_per_pair, probs[k, :size] / totals[k])
+        _rekey(gen, (seed * 0x9E3779B9 + k) & 0xFFFFFFFFFFFFFFFF)
+        counts[k, :size] = gen.multinomial(shots_per_pair, probs[k, :size] / totals[k])
 
     n = shots_per_pair
     means = _row_sums(counts * products, sizes) / n

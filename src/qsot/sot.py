@@ -121,7 +121,7 @@ def causality_witness(sot: StateOverTime) -> tuple:
     """Smallest eigenvalue and trace-norm negativity (sum |negative eigenvalues|)."""
     w = sot.eigenvalues()
     min_eig = float(w.min()) if len(w) else 0.0
-    negativity = float(-w[w < 0].sum())
+    negativity = float(np.abs(w[w < 0]).sum())  # +0.0, not -0.0, when none is negative
     return min_eig, negativity
 
 

@@ -33,7 +33,7 @@ from qsot import (
     tensor,
     two_time_ev,
 )
-from qsot.channels import apply, discard_prepare, jamiolkowski, random_channel
+from qsot.channels import apply, discard_prepare, random_channel
 from qsot.observables import gram_matrix, sic_povm
 from qsot.twotime import general_probes
 from qsot.verify import sic_fiducial_grid
@@ -117,7 +117,7 @@ def test_criterion_4_special_case_representability():
             for _ in range(25):
                 chan = random_channel(dA, dB, rng)
                 mixed = Process(chan, np.eye(dA) / dA)
-                X_mm = jamiolkowski(chan) / dA
+                X_mm = chan.jamiolkowski / dA
                 sigma = random_density(dB, rng)
                 rho = random_density(dA, rng)
                 dp = Process(discard_prepare(sigma, dim_in=dA), rho)
@@ -256,7 +256,7 @@ def test_criterion_9_operator_identity_properties():
         chan = random_channel(dA, dB, rng)
         A = random_hermitian(dA, rng)
         B = random_hermitian(dB, rng)
-        lhs = partial_trace(jamiolkowski(chan) @ tensor(A, B), dA, dB, "A")
+        lhs = partial_trace(chan.jamiolkowski @ tensor(A, B), dA, dB, "A")
         worst_contract = max(
             worst_contract, float(np.linalg.norm(lhs - apply(chan, A) @ B))
         )

@@ -14,7 +14,6 @@ from qsot import (
     hs_inner,
     identity_channel,
     isometry_embed,
-    jamiolkowski,
     make_standard,
     partial_trace,
     random_channel,
@@ -61,13 +60,13 @@ def test_apply_dimension_check():
 
 def test_jamiolkowski_identity_is_swap():
     for d in (2, 3):
-        assert np.linalg.norm(jamiolkowski(identity_channel(d)) - swap_operator(d)) < 1e-12
+        assert np.linalg.norm(identity_channel(d).jamiolkowski - swap_operator(d)) < 1e-12
 
 
 def test_jamiolkowski_discard_prepare():
     rng = np.random.default_rng(2)
     sigma = random_density(3, rng)
-    J = jamiolkowski(discard_prepare(sigma))
+    J = discard_prepare(sigma).jamiolkowski
     assert np.linalg.norm(J - tensor(np.eye(3), sigma)) < 1e-10
 
 
@@ -75,7 +74,7 @@ def test_jamiolkowski_partial_trace_identity():
     rng = np.random.default_rng(3)
     for dA, dB in [(2, 2), (2, 3), (3, 2), (3, 3)]:
         chan = random_channel(dA, dB, rng)
-        J = jamiolkowski(chan)
+        J = chan.jamiolkowski
         assert np.linalg.norm(partial_trace(J, dA, dB, "B") - np.eye(dA)) < 1e-10
 
 
@@ -84,7 +83,7 @@ def test_contraction_identity():
     rng = np.random.default_rng(4)
     for _ in range(20):
         chan = random_channel(3, 2, rng)
-        J = jamiolkowski(chan)
+        J = chan.jamiolkowski
         A = random_hermitian(3, rng)
         B = random_hermitian(2, rng)
         lhs = partial_trace(J @ tensor(A, B), 3, 2, "A")
@@ -154,8 +153,8 @@ def test_constructor_rejects_invalid_kraus():
 
 
 def test_isometry_embed_2_2_is_identity():
-    J = jamiolkowski(isometry_embed(2, 2))
-    assert np.linalg.norm(J - jamiolkowski(identity_channel(2))) < 1e-12
+    J = isometry_embed(2, 2).jamiolkowski
+    assert np.linalg.norm(J - identity_channel(2).jamiolkowski) < 1e-12
 
 
 def test_isometry_embed_3_3_complement():
@@ -164,7 +163,7 @@ def test_isometry_embed_3_3_complement():
 
 
 def test_discard_prepare_mixed_jamiolkowski():
-    J = jamiolkowski(discard_prepare(np.eye(3) / 3))
+    J = discard_prepare(np.eye(3) / 3).jamiolkowski
     assert np.linalg.norm(J - np.eye(9) / 3) < 1e-12
 
 

@@ -200,6 +200,14 @@ def test_pdm_reconstruct_sampled_one_dimensional(tmp_path):
     assert payload["stderr_frobenius"] == 0.0
 
 
+def test_pdm_reconstruct_one_dimensional_negativity_is_positive_zero(tmp_path, capsys):
+    proc_file = write_process(tmp_path, Process(identity_channel(1), np.eye(1)))
+    assert main(["pdm-reconstruct", proc_file, "--shots", "10", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert '"negativity": 0.0' in out
+    assert "-0.0" not in out
+
+
 def test_pdm_reconstruct_sampled_without_basis_exits_3(tmp_path, capsys):
     rng = np.random.default_rng(5)
     proc_file = write_process(tmp_path, random_process(5, 2, rng))

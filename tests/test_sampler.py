@@ -24,7 +24,7 @@ from qsot import (
 )
 from qsot import sampler
 from qsot.observables import PAULI
-from qsot.sampler import _rng
+from qsot.sampler import _rekey, _rng
 
 
 def test_deterministic_outcome():
@@ -191,14 +191,61 @@ def test_estimate_pdm_pair_streams_distinct_at_large_seed(monkeypatch):
     basis = pauli_basis(1)
     streams = []
 
-    def record_stream(seed):
+    def record_stream(gen, seed):
         streams.append(tuple(_rng(seed).random(4)))
-        return _rng(seed)
+        _rekey(gen, seed)
 
-    monkeypatch.setattr(sampler, "_rng", record_stream)
+    monkeypatch.setattr(sampler, "_rekey", record_stream)
     estimate_pdm(proc, basis, basis, 1, seed=4_000_000_000)
     assert len(streams) == 16
     assert len(set(streams)) == 16
+
+
+REKEY_SEEDS = (0, 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1)
+
+
+@pytest.mark.parametrize("seed", REKEY_SEEDS)
+def test_rekeyed_stream_equals_fresh_stream(seed):
+    probs = np.array([0.1, 0.2, 0.3, 0.4])
+    gen = _rng(12345)
+    _rekey(gen, seed)
+    assert np.array_equal(gen.random(4), _rng(seed).random(4))
+    _rekey(gen, seed)
+    assert np.array_equal(gen.multinomial(1000, probs), _rng(seed).multinomial(1000, probs))
+
+
+@pytest.mark.parametrize("seed", REKEY_SEEDS)
+@pytest.mark.parametrize("half_used", [
+    lambda g: g.integers(0, 2**32, size=1, dtype=np.uint32),
+    lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
+    lambda g: g.random(3),
+], ids=["uint32x1", "uint32x3", "random3"])
+def test_rekey_leaves_nothing_of_a_half_used_stream(seed, half_used):
+    # An odd number of 32-bit draws leaves has_uint32 set; random(3) leaves
+    # the Philox buffer partly read.
+    gen = _rng(7)
+    half_used(gen)
+    _rekey(gen, seed)
+    assert np.array_equal(gen.random(4), _rng(seed).random(4))
+    half_used(gen)
+    _rekey(gen, seed)
+    assert np.array_equal(gen.integers(0, 2**32, size=5, dtype=np.uint32),
+                          _rng(seed).integers(0, 2**32, size=5, dtype=np.uint32))
+
+
+def test_estimate_pdm_builds_one_philox(monkeypatch):
+    proc = random_process(4, 4, np.random.default_rng(9))
+    built = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    sot = estimate_pdm(proc, pauli_basis(2), hermitian_basis(4), 100, seed=3)
+    assert len(built) == 1
+    assert sot.provenance == "sampled"
 
 
 def test_shots_range():

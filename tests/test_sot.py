@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,14 @@ def test_causality_witness_values():
 
     zero = StateOverTime(np.zeros((4, 4)), 2, 2, "closed-form")
     assert causality_witness(zero) == (0.0, 0.0)
+
+
+def test_causality_witness_negativity_is_positive_zero():
+    for sot in (canonical_sot(Process(identity_channel(1), np.eye(1))),
+                StateOverTime(np.zeros((4, 4)), 2, 2, "closed-form")):
+        _, negativity = causality_witness(sot)
+        assert negativity == 0.0
+        assert math.copysign(1.0, negativity) == 1.0
 
 
 def test_maximality_counterexample_three_level():

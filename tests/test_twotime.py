@@ -19,7 +19,7 @@ from qsot import (
     tensor,
     two_time_ev,
 )
-from qsot.channels import apply, jamiolkowski
+from qsot.channels import apply
 from qsot.observables import PAULI
 from qsot.twotime import general_probes, sot_trace_value
 
@@ -125,7 +125,7 @@ def test_maximally_mixed_input_bilinear():
     for dA, dB in [(2, 2), (2, 3), (3, 2)]:
         chan = random_channel(dA, dB, rng)
         proc = Process(chan, np.eye(dA) / dA)
-        X = jamiolkowski(chan) / dA
+        X = chan.jamiolkowski / dA
         for _ in range(10):
             O_A = Observable(random_hermitian(dA, rng))
             O_B = Observable(random_hermitian(dB, rng))
