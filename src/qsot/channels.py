@@ -101,18 +101,6 @@ def apply(channel: QuantumChannel, M) -> np.ndarray:
     return out
 
 
-def adjoint_apply(channel: QuantumChannel, B) -> np.ndarray:
-    """Hilbert-Schmidt adjoint: B -> sum_k K^dagger B K (unital)."""
-    B = as_matrix(B)
-    d = channel.dim_out
-    if B.shape != (d, d):
-        raise DimensionMismatch(f"expected {(d, d)}, got {B.shape}")
-    out = np.zeros((channel.dim_in, channel.dim_in), dtype=complex)
-    for K in channel.kraus:
-        out += K.conj().T @ B @ K
-    return out
-
-
 def _jamiolkowski_from_kraus(kraus, dim_in: int, dim_out: int) -> np.ndarray:
     # sum_{ij} E_ij (x) E(E_ji) == partial transpose on A of the Choi matrix
     # sum_k vec(K)vec(K)^dagger with A-major vec indexing.
@@ -207,19 +195,6 @@ def isometry_embed(m: int, n: int) -> QuantumChannel:
             K[j, i] = 1.0 / np.sqrt(n)
             kraus.append(K)
     return QuantumChannel(kraus)
-
-
-def make_standard(kind: str, **kwargs) -> QuantumChannel:
-    """Dispatch constructor for the standard channel zoo."""
-    builders = {
-        "identity": identity_channel,
-        "discard_prepare": discard_prepare,
-        "depolarizing": depolarizing,
-        "isometry_embed": isometry_embed,
-    }
-    if kind not in builders:
-        raise InvalidParameter(f"unknown channel kind {kind!r}")
-    return builders[kind](**kwargs)
 
 
 def random_channel(dim_in: int, dim_out: int, rng: np.random.Generator,

@@ -8,13 +8,22 @@ with the same seed writes the same document.
 from __future__ import annotations
 
 import argparse
+import importlib.util
+import math
+import os
 import sys
 
-import numpy as np
+# One BLAS thread unless the user chose: on matrices this small (36x36 at most in
+# `verify`) a second OpenBLAS thread adds CPU and no speed. OpenBLAS reads this
+# once, when numpy is first imported, so it is set before the imports below.
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from . import io
-from .errors import InvalidParameter, ParameterOutOfRange, QsotError
-from .observables import (
+import numpy as np  # noqa: E402
+
+from . import io  # noqa: E402
+from .errors import InvalidParameter, ParameterOutOfRange, QsotError  # noqa: E402
+from .observables import (  # noqa: E402
     Observable,
     hermitian_basis,
     light_touch_basis_qutrit,
@@ -23,12 +32,35 @@ from .observables import (
     sic_fiducial_w,
     sic_povm,
 )
-from .sampler import SEED_LIMIT, estimate_ev, estimate_pdm, sample_sequential
-from .sot import canonical_sot, reconstruct_unique
-from .twotime import two_time_ev
-from .verify import run_suites
+from .sot import canonical_sot, reconstruct_unique  # noqa: E402
+from .twotime import two_time_ev  # noqa: E402
+
+
+def _lazy_submodule(name: str):
+    """The package's submodule ``name``, whose code runs on its first attribute access.
+
+    It sits in ``sys.modules`` from the start, like an eagerly imported one, so
+    code that imports ``qsot.cli`` and then looks a layer up there finds it
+    (``perfbench/tracing.py`` does), but only the commands that use it pay for
+    compiling and running it.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    setattr(sys.modules[__package__], name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+sampler = _lazy_submodule("sampler")  # sample and pdm-reconstruct --shots
+verify = _lazy_submodule("verify")  # verify
 
 DEFAULT_SEED = 0xC0FFEE
+SEED_LIMIT = 1 << 64  # sampler.SEED_LIMIT, kept here so parsing --seed loads no sampler
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -45,6 +77,17 @@ def _seed(text: str) -> int:
     if not 0 <= seed < SEED_LIMIT:
         raise argparse.ArgumentTypeError(f"must lie in [0, 2^64), got {text}")
     return seed
+
+
+def _tol(text: str) -> float:
+    """A finite tolerance >= 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text}")
+    return tol
 
 
 def _dims(text: str) -> tuple:
@@ -68,7 +111,7 @@ def _permutation(text: str) -> tuple:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                         help="seed for all randomness (default 0xC0FFEE)")
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", type=_tol, default=None,
                         help="override default verification tolerances")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("json", "pretty"), default="pretty",
@@ -116,7 +159,8 @@ def cmd_verify(args) -> int:
         raise InvalidParameter("dims must lie in 2..6")
     if args.trials < 1:
         raise InvalidParameter("trials must be at least 1")
-    reports = run_suites(names, dims=dims, trials=args.trials, seed=args.seed, tol=args.tol)
+    reports = verify.run_suites(names, dims=dims, trials=args.trials, seed=args.seed,
+                                tol=args.tol)
     for report in reports:
         for claim in report.claims:
             status = "PASS" if claim.passed else "FAIL"
@@ -134,8 +178,9 @@ def cmd_sample(args) -> int:
     _, pb = io.load_document(args.observable_b, expect_kind="observable")
     O_A = io.observable_from_payload(pa)
     O_B = io.observable_from_payload(pb)
-    record = sample_sequential(process, O_A, O_B, args.shots, args.seed)
-    mean, stderr = estimate_ev(record, O_A.spectral.eigenvalues, O_B.spectral.eigenvalues)
+    record = sampler.sample_sequential(process, O_A, O_B, args.shots, args.seed)
+    mean, stderr = sampler.estimate_ev(record, O_A.spectral.eigenvalues,
+                                       O_B.spectral.eigenvalues)
     exact = two_time_ev(process, O_A, O_B)
     doc = io.envelope(
         "report",
@@ -177,7 +222,7 @@ def cmd_pdm_reconstruct(args) -> int:
     else:
         basis_A = _orthogonal_light_touch_basis(process.dim_in)
         basis_B = hermitian_basis(process.dim_out)
-        sot = estimate_pdm(process, basis_A, basis_B, args.shots, args.seed)
+        sot = sampler.estimate_pdm(process, basis_A, basis_B, args.shots, args.seed)
     _emit(io.sot_doc(sot), args)
     return EXIT_OK
 

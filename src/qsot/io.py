@@ -181,6 +181,9 @@ def dump_document(doc: dict, path: str | None, pretty: bool = False) -> None:
     text = json.dumps(doc, indent=2 if pretty else None)
     if path is None:
         print(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text + "\n")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc

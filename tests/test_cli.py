@@ -283,6 +283,12 @@ def test_largest_seed_accepted(tmp_path):
     assert payload["seed"] == 2**64 - 1
 
 
+def test_seed_limit_matches_sampler():
+    from qsot import cli, sampler
+
+    assert cli.SEED_LIMIT == sampler.SEED_LIMIT
+
+
 def test_non_integer_dims_exit_2(capsys):
     code, line = _parse_error(["verify", "theorems", "--dims", "2,x"], capsys)
     assert code == 2
@@ -307,6 +313,22 @@ def test_verify_tol_zero_is_honoured(tmp_path, capsys):
         "general-probe residual of witness": 0.1,
     }
     assert "tolerance 0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_verify_tol_must_be_finite_and_nonnegative(tol, capsys):
+    code, line = _parse_error(["verify", "nogo", f"--tol={tol}"], capsys)
+    assert code == 2
+    assert "--tol" in line and "finite" in line
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    proc_file = write_process(tmp_path, Process(identity_channel(2), np.eye(2) / 2))
+    out = tmp_path / "missing" / "sot.json"
+    assert main(["sot", proc_file, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"parse error: cannot write {out}") and len(err.splitlines()) == 1
 
 
 def test_threads_option_is_gone(tmp_path, capsys):
