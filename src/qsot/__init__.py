@@ -16,7 +16,6 @@ _EXPORTS = {
     "channels": (
         "Process",
         "QuantumChannel",
-        "ValidationReport",
         "apply",
         "choi_matrix",
         "depolarizing",
@@ -27,7 +26,6 @@ _EXPORTS = {
         "random_density",
         "random_hermitian",
         "random_process",
-        "validate_cptp",
     ),
     "errors": (
         "BasisNotOrthogonal",

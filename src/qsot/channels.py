@@ -7,56 +7,51 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter
-from .linalg import as_matrix, check_hermitian
-
-TP_TOL = 1e-9
-DENSITY_TOL = 1e-10
+from .linalg import DENSITY_TOL, TP_TOL, WEIGHT_CUT, as_matrix, check_hermitian
 
 
 class QuantumChannel:
-    """A CPTP map stored as Kraus operators, with its Jamiolkowski matrix cached.
+    """A CPTP map stored as a read-only (nk, dim_out, dim_in) stack of Kraus operators.
 
     Kraus is the canonical representation: application is cheap and complete
-    positivity holds by construction for generated channels. The Jamiolkowski
-    matrix is derived once at construction and shared read-only.
+    positivity holds by construction. The Choi matrix is built once at
+    construction and the Jamiolkowski matrix is derived from it; both are
+    shared read-only. A Kraus set that is not trace preserving within TP_TOL,
+    or whose Choi matrix has an eigenvalue below -TP_TOL, raises
+    InvalidParameter.
     """
 
-    def __init__(self, kraus, validate: bool = True):
+    def __init__(self, kraus):
         kraus = [as_matrix(K) for K in kraus]
         if not kraus:
             raise InvalidParameter("need at least one Kraus operator")
         shape = kraus[0].shape
         if any(K.shape != shape for K in kraus):
             raise DimensionMismatch("Kraus operators must share a common shape")
-        self.kraus = tuple(kraus)
+        K = np.array(kraus)
         self.dim_out, self.dim_in = shape
-        self._jam = _jamiolkowski_from_kraus(self.kraus, self.dim_in, self.dim_out)
-        if validate:
-            report = validate_cptp(self, tol=TP_TOL)
-            if not report.accepted:
-                raise InvalidParameter(
-                    f"Kraus set is not CPTP: TP residual {report.tp_residual:.3e}, "
-                    f"min Choi eigenvalue {report.min_choi_eigenvalue:.3e}"
-                )
-
-    def __call__(self, M) -> np.ndarray:
-        return apply(self, M)
+        # v[k, (i, out)] = K_k[out, i] with A-major indexing, so the Choi matrix
+        # sum_ij E_ij (x) E(E_ij) is sum_k vec(K_k) vec(K_k)^dagger, added in Kraus order.
+        v = K.transpose(0, 2, 1).reshape(len(K), -1)
+        choi = (v[:, :, None] * v[:, None, :].conj()).sum(axis=0)
+        rows = K.reshape(-1, self.dim_in)
+        tp_residual = float(np.linalg.norm(rows.conj().T @ rows - np.eye(self.dim_in)))
+        min_eig = float(np.linalg.eigvalsh(choi).min())
+        if tp_residual > TP_TOL or min_eig < -TP_TOL:
+            raise InvalidParameter(
+                f"Kraus set is not CPTP: TP residual {tp_residual:.3e}, "
+                f"min Choi eigenvalue {min_eig:.3e}"
+            )
+        self.kraus = K
+        self._choi = choi
+        self._jam = _swap_A(choi, self.dim_in, self.dim_out)
+        for M in (K, choi, self._jam):
+            M.flags.writeable = False
 
     @property
     def jamiolkowski(self) -> np.ndarray:
         """The Jamiolkowski matrix sum_{ij} E_ij (x) E(E_ji)."""
         return self._jam
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    tp_residual: float
-    min_choi_eigenvalue: float
-    tol: float
-
-    @property
-    def accepted(self) -> bool:
-        return self.tp_residual <= self.tol and self.min_choi_eigenvalue >= -self.tol
 
 
 @dataclass(frozen=True)
@@ -67,7 +62,7 @@ class Process:
     rho: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        rho = check_hermitian(self.rho, rtol=1e-9)
+        rho = check_hermitian(self.rho)
         # Keep the hermitian part, so anti-hermitian roundoff cannot reach the state over time.
         rho = 0.5 * (rho + rho.conj().T)
         if rho.shape[0] != self.channel.dim_in:
@@ -101,35 +96,15 @@ def apply(channel: QuantumChannel, M) -> np.ndarray:
     return out
 
 
-def _jamiolkowski_from_kraus(kraus, dim_in: int, dim_out: int) -> np.ndarray:
-    # sum_{ij} E_ij (x) E(E_ji) == partial transpose on A of the Choi matrix
-    # sum_k vec(K)vec(K)^dagger with A-major vec indexing.
+def _swap_A(M: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
+    """Partial transpose on the A factor: it maps the Choi matrix to the Jamiolkowski matrix."""
     d = dim_in * dim_out
-    choi = np.zeros((d, d), dtype=complex)
-    for K in kraus:
-        # column i of K holds E(|i><i|)-style data: Choi = sum_ij E_ji (x) K E_ij K^dag
-        v = K.T.reshape(d)  # v[(i, out)] = K[out, i], A-major
-        choi += np.outer(v, v.conj())
-    jam = choi.reshape(dim_in, dim_out, dim_in, dim_out).transpose(2, 1, 0, 3).reshape(d, d)
-    return jam
+    return M.reshape(dim_in, dim_out, dim_in, dim_out).transpose(2, 1, 0, 3).reshape(d, d)
 
 
 def choi_matrix(channel: QuantumChannel) -> np.ndarray:
-    """Choi matrix: partial transpose of the Jamiolkowski matrix on the A factor."""
-    dA, dB = channel.dim_in, channel.dim_out
-    d = dA * dB
-    J = channel.jamiolkowski.reshape(dA, dB, dA, dB)
-    return J.transpose(2, 1, 0, 3).reshape(d, d)
-
-
-def validate_cptp(channel: QuantumChannel, tol: float = TP_TOL) -> ValidationReport:
-    """Report trace-preservation residual and minimum Choi eigenvalue."""
-    acc = np.zeros((channel.dim_in, channel.dim_in), dtype=complex)
-    for K in channel.kraus:
-        acc += K.conj().T @ K
-    tp_residual = float(np.linalg.norm(acc - np.eye(channel.dim_in)))
-    min_eig = float(np.linalg.eigvalsh(choi_matrix(channel)).min())
-    return ValidationReport(tp_residual=tp_residual, min_choi_eigenvalue=min_eig, tol=tol)
+    """Choi matrix sum_{ij} E_ij (x) E(E_ij), read-only."""
+    return channel._choi
 
 
 def identity_channel(d: int) -> QuantumChannel:
@@ -141,11 +116,15 @@ def identity_channel(d: int) -> QuantumChannel:
 def discard_prepare(sigma, dim_in: int | None = None) -> QuantumChannel:
     """E(A) = Tr[A] sigma for a density matrix sigma; dim_in defaults to sigma's."""
     sigma = check_hermitian(sigma)
+    if dim_in is None:
+        dim_in = sigma.shape[0]
+    if dim_in < 1:
+        raise InvalidParameter("dimension must be positive")
     if abs(np.trace(sigma).real - 1.0) > DENSITY_TOL:
         raise InvalidParameter("prepared state must have unit trace")
     if np.linalg.eigvalsh(sigma).min() < -DENSITY_TOL:
         raise InvalidParameter("prepared state must be positive semidefinite")
-    return _discard_prepare_dims(sigma, dim_in or sigma.shape[0])
+    return _discard_prepare_dims(sigma, dim_in)
 
 
 def _discard_prepare_dims(sigma: np.ndarray, dim_in: int) -> QuantumChannel:
@@ -153,9 +132,9 @@ def _discard_prepare_dims(sigma: np.ndarray, dim_in: int) -> QuantumChannel:
     w, V = np.linalg.eigh(sigma)
     kraus = []
     for k in range(len(w)):
-        if w[k] <= 1e-15:
+        if w[k] <= WEIGHT_CUT:
             continue
-        col = np.sqrt(max(float(w[k]), 0.0)) * V[:, k]
+        col = np.sqrt(float(w[k])) * V[:, k]
         for i in range(dim_in):
             K = np.zeros((sigma.shape[0], dim_in), dtype=complex)
             K[:, i] = col

@@ -66,10 +66,6 @@ def open_envelope(doc: dict, expect_kind: str | None = None) -> tuple:
     return kind, payload
 
 
-def state_doc(rho: np.ndarray) -> dict:
-    return envelope("state", {"dim": rho.shape[0], "matrix": matrix_to_json(rho)})
-
-
 def state_from_payload(payload: dict) -> np.ndarray:
     rho = matrix_from_json(_object(payload, "state payload").get("matrix"))
     if "dim" in payload and rho.shape != (payload["dim"], payload["dim"]):

@@ -13,7 +13,23 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NumericalFailure
 
-HERMITICITY_RTOL = 1e-9
+# Every threshold the library applies to data. A relative threshold is a
+# multiple of the scale of the data it judges, with no floor, so rescaling an
+# input by any nonzero factor changes no verdict; an absolute one judges a
+# quantity whose scale is fixed (a trace, a probability, a unit vector).
+HERMITICITY_RTOL = 1e-9  # relative: ||M - M^dagger|| against ||M||, Frobenius norms
+CLUSTER_RTOL = 1e-8  # relative: eigenvalue gaps, the dichotomy merge and the
+#                      counterexample pair sum, each against max |eigenvalue|
+TP_TOL = 1e-9  # absolute: ||sum_k K_k^dagger K_k - 1|| and the most negative Choi eigenvalue
+DENSITY_TOL = 1e-10  # absolute: |Tr rho - 1| and the most negative eigenvalue of a state
+PROB_NEG_LIMIT = 1e-9  # absolute: the most negative joint probability clamped to 0
+PROB_SUM_TOL = 1e-8  # absolute: |sum of a joint distribution - 1|
+GRAM_RTOL = 1e-8  # relative: Gram off-diagonals and norm spread against the largest squared norm
+SIC_OVERLAP_TOL = 1e-10  # absolute: |Tr[P_a P_b] - 1/4| over distinct SIC projector pairs
+FIDUCIAL_NORM_TOL = 1e-12  # absolute: | ||psi|| - 1 | for a SIC fiducial
+WEIGHT_CUT = 1e-15  # absolute: prepared-state eigenvalues at or below it get no Kraus operators
+COUNTEREXAMPLE_RTOL = 1e-6  # relative: the least maximality-counterexample residual,
+#                             against max |eigenvalue| of the first observable
 
 
 def as_matrix(M) -> np.ndarray:
@@ -26,13 +42,12 @@ def as_matrix(M) -> np.ndarray:
     return M
 
 
-def check_hermitian(M: np.ndarray, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    """Return M if hermitian within relative tolerance, else raise NotHermitian."""
+def check_hermitian(M) -> np.ndarray:
+    """Return M if hermitian within HERMITICITY_RTOL of its norm, else raise NotHermitian."""
     M = as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"hermitian check needs a square matrix, got {M.shape}")
-    scale = max(1.0, float(np.linalg.norm(M)))
-    if np.linalg.norm(M - M.conj().T) > rtol * scale:
+    if np.linalg.norm(M - M.conj().T) > HERMITICITY_RTOL * np.linalg.norm(M):
         raise NotHermitian("matrix is not hermitian within tolerance")
     return M
 
@@ -49,38 +64,30 @@ class SpectralDecomposition:
     eigenvalues: np.ndarray
     projectors: tuple
 
-    def reconstruct(self) -> np.ndarray:
-        return sum(lam * P for lam, P in zip(self.eigenvalues, self.projectors))
 
-    def ranks(self) -> list:
-        return [int(round(np.trace(P).real)) for P in self.projectors]
-
-
-def default_cluster_tol(eigenvalues: np.ndarray) -> float:
-    return 1e-8 * max(1.0, float(np.max(np.abs(eigenvalues), initial=0.0)))
-
-
-def hermitian_eigendecomposition(H, cluster_tol: float | None = None) -> SpectralDecomposition:
+def hermitian_eigendecomposition(H) -> SpectralDecomposition:
     """Eigendecompose a hermitian matrix into distinct-eigenvalue projectors.
 
-    Eigenvalues closer than ``cluster_tol`` are merged into a single cluster;
-    the cluster eigenvalue is the multiplicity-weighted mean and the projector
-    is the sum over the cluster. Zero eigenvalues are kept so the projectors
-    always resolve the identity.
+    Ascending eigenvalues at most CLUSTER_RTOL max|eigenvalue| apart are
+    merged into a single cluster, so chains merge whole; the cluster
+    eigenvalue is the multiplicity-weighted mean and the projector is the sum
+    over the cluster. Zero eigenvalues are kept so the projectors always
+    resolve the identity.
     """
-    H = check_hermitian(H)
+    return _decompose(check_hermitian(H))
+
+
+def _decompose(H: np.ndarray) -> SpectralDecomposition:
+    """``hermitian_eigendecomposition`` of a matrix already checked hermitian."""
     try:
         w, V = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(w)
-
-    # Greedy clustering over ascending eigenvalues.
+    gap = CLUSTER_RTOL * float(np.max(np.abs(w), initial=0.0))
     clusters = []
     start = 0
     for k in range(1, len(w) + 1):
-        if k == len(w) or w[k] - w[k - 1] > cluster_tol:
+        if k == len(w) or w[k] - w[k - 1] > gap:
             clusters.append(slice(start, k))
             start = k
     eigenvalues = np.array([float(np.mean(w[s])) for s in clusters])

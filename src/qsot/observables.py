@@ -14,7 +14,11 @@ import numpy as np
 
 from .errors import FailedOverlapCondition, InvalidIndex, ParameterOutOfRange
 from .linalg import (
+    CLUSTER_RTOL,
+    FIDUCIAL_NORM_TOL,
+    SIC_OVERLAP_TOL,
     SpectralDecomposition,
+    _decompose,
     check_hermitian,
     hermitian_eigendecomposition,
     tensor,
@@ -57,13 +61,13 @@ class Observable:
     @property
     def spectral(self) -> SpectralDecomposition:
         if "spectral" not in self._cache:
-            self._cache["spectral"] = hermitian_eigendecomposition(self.matrix)
+            self._cache["spectral"] = _decompose(self.matrix)
         return self._cache["spectral"]
 
     @property
     def classification(self) -> Classification:
         if "classification" not in self._cache:
-            self._cache["classification"] = classify_light_touch(self.matrix)
+            self._cache["classification"] = _classify(self.spectral)
         return self._cache["classification"]
 
     @property
@@ -71,17 +75,20 @@ class Observable:
         return self.classification.is_light_touch
 
 
-def classify_light_touch(O, tol: float | None = None) -> Classification:
+def classify_light_touch(O) -> Classification:
     """Classify an observable by its distinct-eigenvalue structure.
 
     The zero matrix classifies as scalar with value 0.
     """
-    dec = hermitian_eigendecomposition(O, cluster_tol=tol)
+    return _classify(hermitian_eigendecomposition(O))
+
+
+def _classify(dec: SpectralDecomposition) -> Classification:
+    # Two clusters are dichotomous when their eigenvalues cancel within the clustering rule.
     lams = dec.eigenvalues
     if len(lams) == 1:
         return Classification("scalar", float(lams[0]))
-    merge_tol = tol if tol is not None else 1e-8 * max(1.0, float(np.max(np.abs(lams))))
-    if len(lams) == 2 and abs(lams[0] + lams[1]) <= merge_tol:
+    if len(lams) == 2 and abs(lams[0] + lams[1]) <= CLUSTER_RTOL * float(np.max(np.abs(lams))):
         return Classification("dichotomous", float(lams[1]))
     return Classification("general")
 
@@ -171,9 +178,6 @@ class SicPovm:
         return self.projectors[3 * j + k]
 
 
-SIC_OVERLAP_TOL = 1e-10
-
-
 def sic_povm(fiducial) -> SicPovm:
     """Build the SIC-POVM G_jk |psi><psi| G_jk^dagger and verify its overlaps.
 
@@ -182,7 +186,7 @@ def sic_povm(fiducial) -> SicPovm:
     FailedOverlapCondition reports the worst pair.
     """
     psi = np.asarray(fiducial, dtype=complex).reshape(3)
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-12:
+    if abs(np.linalg.norm(psi) - 1.0) > FIDUCIAL_NORM_TOL:
         raise FailedOverlapCondition("fiducial is not a unit vector")
     projectors = []
     for j in range(3):

@@ -17,9 +17,10 @@ import numpy as np
 
 from .channels import Process
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidParameter, NumericalFailure
+from .linalg import PROB_SUM_TOL
 from .observables import Observable
 from .sot import StateOverTime, pdm_from_correlations
-from .twotime import PROB_SUM_TOL, _joint_table, joint_distribution
+from .twotime import _joint_table, joint_distribution
 
 SEED_LIMIT = 1 << 64
 SHOTS_LIMIT = 1 << 63  # a multinomial draw takes its number of trials as an int64

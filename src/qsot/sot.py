@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Process, apply, identity_channel
+from .channels import Process, identity_channel
 from .errors import (
     BasisNotOrthogonal,
     DimensionMismatch,
@@ -20,7 +20,7 @@ from .errors import (
     IsLightTouch,
     NotLightTouch,
 )
-from .linalg import anticommutator, tensor
+from .linalg import CLUSTER_RTOL, COUNTEREXAMPLE_RTOL, GRAM_RTOL, anticommutator, tensor
 from .observables import Observable, gram_matrix, hermitian_basis
 from .twotime import _frames, _stack, _values, trace_grid, two_time_grid
 
@@ -89,14 +89,18 @@ def pdm_from_correlations(dimA: int, dimB: int, basis_A, basis_B, evs) -> StateO
                          condition=1.0)
 
 
-def _uniform_gram_norm(basis, tol: float = 1e-8) -> float:
+def _uniform_gram_norm(basis) -> float:
+    """The common squared norm c of an orthogonal basis, checked to GRAM_RTOL c."""
     G = gram_matrix(basis)
     norms = np.diagonal(G)
+    tol = GRAM_RTOL * norms.max()
+    if tol == 0.0:
+        raise BasisNotOrthogonal("basis elements have zero norm")
     off = np.abs(G - np.diag(norms)) > tol
     if off.any():
         a, b = np.argwhere(off)[0]
         raise BasisNotOrthogonal(f"off-diagonal Gram entry {G[a, b]:.3e} at ({a}, {b})")
-    if np.ptp(norms) > tol * max(1.0, norms.max()):
+    if np.ptp(norms) > tol:
         raise BasisNotOrthogonal("basis elements do not share a common norm")
     return float(norms.mean())
 
@@ -132,23 +136,25 @@ def _first_range_vector(P: np.ndarray) -> np.ndarray:
     return cols[:, 0]
 
 
-def maximality_counterexample(O_A: Observable, residual_floor: float = 1e-6):
+def maximality_counterexample(O_A: Observable):
     """A process and second observable on which the canonical state over time fails.
 
     For a non-light-touch O_A, pick two eigenvalue clusters with lam_i + lam_j
     nonzero (such a pair always exists), superpose one eigenvector from each
     into a pure state, evolve under the identity channel, and scan an
     orthonormal hermitian basis for the second observable maximizing
-    |<O_A, O_B> - Tr[(E * rho)(O_A (x) O_B)]|.
+    |<O_A, O_B> - Tr[(E * rho)(O_A (x) O_B)]|. Pair sums and the residual are
+    judged relative to max|lam|, so a rescaled O_A gives the rescaled residual.
     """
     if O_A.is_light_touch:
         raise IsLightTouch("light-touch observables admit no counterexample")
     dec = O_A.spectral
+    scale = float(np.max(np.abs(dec.eigenvalues)))
     m = O_A.dim
     pair = None
     for i in range(len(dec.eigenvalues)):
         for j in range(i + 1, len(dec.eigenvalues)):
-            if abs(dec.eigenvalues[i] + dec.eigenvalues[j]) > 1e-8:
+            if abs(dec.eigenvalues[i] + dec.eigenvalues[j]) > CLUSTER_RTOL * scale:
                 pair = (i, j)
                 break
         if pair:
@@ -168,20 +174,7 @@ def maximality_counterexample(O_A: Observable, residual_floor: float = 1e-6):
     for B, dev in zip(basis, devs.tolist()):
         if dev > best_dev + 1e-15:
             best, best_dev = B, dev
-    if best_dev <= residual_floor:
-        raise InvalidParameter(
-            f"scan found no violation above {residual_floor} (max {best_dev:.3e})"
-        )
+    floor = COUNTEREXAMPLE_RTOL * scale
+    if best_dev <= floor:
+        raise InvalidParameter(f"scan found no violation above {floor:.3e} (max {best_dev:.3e})")
     return process, best, best_dev
-
-
-def verify_sot_marginals(process: Process, sot: StateOverTime, tol: float = 1e-9) -> bool:
-    """tr_B of the state over time is rho; tr_A is E(rho)."""
-    from .linalg import partial_trace
-
-    trB = partial_trace(sot.matrix, sot.dimA, sot.dimB, "B")
-    trA = partial_trace(sot.matrix, sot.dimA, sot.dimB, "A")
-    return (
-        np.linalg.norm(trB - process.rho) <= tol
-        and np.linalg.norm(trA - apply(process.channel, process.rho)) <= tol
-    )

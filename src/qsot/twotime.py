@@ -15,10 +15,8 @@ import numpy as np
 
 from .channels import Process, isometry_embed, random_hermitian
 from .errors import DimensionMismatch, InvalidParameter, NumericalFailure, SingularSystem
+from .linalg import PROB_NEG_LIMIT, PROB_SUM_TOL
 from .observables import Observable, gram_matrix, hermitian_basis, light_touch_spanning_set
-
-PROB_NEG_LIMIT = 1e-9
-PROB_SUM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -28,15 +26,6 @@ class JointDistribution:
     outcomes_A: np.ndarray
     outcomes_B: np.ndarray
     probs: np.ndarray = field(repr=False)
-
-    def marginal_A(self) -> np.ndarray:
-        return self.probs.sum(axis=1)
-
-    def marginal_B(self) -> np.ndarray:
-        return self.probs.sum(axis=0)
-
-    def expectation(self) -> float:
-        return float(self.outcomes_A @ self.probs @ self.outcomes_B)
 
 
 def _check_dim(observables, dim: int, label: str, target: str) -> None:
@@ -71,7 +60,7 @@ def _evolve(channel, L: np.ndarray) -> np.ndarray:
     against every L_n, then the sum over (k, l) against the row-stacked
     conjugates. This beats a three-operand einsum from d = 4 on.
     """
-    K = np.array(channel.kraus)
+    K = channel.kraus
     nk, dB, dA = K.shape
     T = (K.reshape(nk * dB, dA) @ L).reshape(len(L), nk, dB, dA)
     T = T.transpose(0, 2, 1, 3).reshape(len(L), dB, nk * dA)
@@ -243,10 +232,10 @@ def light_touch_probes(dim_in: int, dim_out: int) -> list:
     return [(A, B) for A in _frames(dim_in)[0] for B in basis_B]
 
 
-def general_probes(dim_in: int, dim_out: int, rng: np.random.Generator, count: int = 20) -> list:
-    """Random hermitian probe pairs, generically non-light-touch on both sides."""
+def general_probes(dim_in: int, dim_out: int, rng: np.random.Generator) -> list:
+    """Twenty random hermitian probe pairs, generically non-light-touch on both sides."""
     pairs = []
-    for _ in range(count):
+    for _ in range(20):
         pairs.append(
             (Observable(random_hermitian(dim_in, rng)), Observable(random_hermitian(dim_out, rng)))
         )

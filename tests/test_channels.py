@@ -18,7 +18,6 @@ from qsot import (
     random_density,
     random_hermitian,
     tensor,
-    validate_cptp,
 )
 from qsot.observables import PAULI
 
@@ -132,26 +131,17 @@ def test_choi_identity_is_maximally_entangled_dyad():
         assert np.linalg.norm(C - np.outer(vec, vec.conj())) < 1e-12
 
 
-def test_validate_cptp_identity():
-    report = validate_cptp(identity_channel(3))
-    assert report.tp_residual < 1e-12
-    assert abs(report.min_choi_eigenvalue) < 1e-12
-    assert report.accepted
-
-
-def test_validate_cptp_single_kraus_identity():
-    assert validate_cptp(QuantumChannel([np.eye(2)])).accepted
-
-
-def test_validate_cptp_rejects_scaled_kraus():
-    chan = QuantumChannel([1.1 * PAULI[1]], validate=False)
-    report = validate_cptp(chan)
-    assert not report.accepted
-    assert np.isclose(report.tp_residual, abs(1.21 - 1) * np.sqrt(2))
+def test_constructor_accepts_identity():
+    for d in (2, 3):
+        chan = QuantumChannel([np.eye(d)])
+        assert chan.kraus.shape == (1, d, d) and not chan.kraus.flags.writeable
+        assert np.linalg.norm(chan.kraus[0].conj().T @ chan.kraus[0] - np.eye(d)) < 1e-12
+        assert abs(np.linalg.eigvalsh(choi_matrix(chan)).min()) < 1e-12
 
 
 def test_constructor_rejects_invalid_kraus():
-    with pytest.raises(InvalidParameter):
+    # TP residual ||1.21 * 1 - 1|| = 0.21 sqrt(2); the Choi matrix stays positive.
+    with pytest.raises(InvalidParameter, match=r"TP residual 2\.970e-01, min Choi eigenvalue"):
         QuantumChannel([1.1 * PAULI[1]])
 
 
@@ -170,6 +160,12 @@ def test_discard_prepare_mixed_jamiolkowski():
     assert np.linalg.norm(J - np.eye(9) / 3) < 1e-12
 
 
+@pytest.mark.parametrize("dim_in", [0, -1])
+def test_discard_prepare_rejects_nonpositive_dimension(dim_in):
+    with pytest.raises(InvalidParameter, match="dimension must be positive"):
+        discard_prepare(np.eye(2) / 2, dim_in=dim_in)
+
+
 def test_depolarizing_parameter_range():
     with pytest.raises(InvalidParameter):
         depolarizing(2, 1.5)
@@ -180,8 +176,10 @@ def test_random_channels_are_cptp():
     for dA in (2, 3):
         for dB in (2, 3):
             for _ in range(10):
-                report = validate_cptp(random_channel(dA, dB, rng))
-                assert report.accepted
+                chan = random_channel(dA, dB, rng)
+                rows = chan.kraus.reshape(-1, dA)
+                assert np.linalg.norm(rows.conj().T @ rows - np.eye(dA)) < 1e-12
+                assert np.linalg.eigvalsh(choi_matrix(chan)).min() > -1e-12
 
 
 def test_process_validation():

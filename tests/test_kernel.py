@@ -2,11 +2,12 @@
 
 The ``ref_*`` functions are those loops, kept slow and obvious: one Kraus
 application per eigenprojector and probe pair, one ``np.kron`` per trace,
+one outer product per Kraus operator for the Choi matrix,
 the least-squares reconstruction over a (dA dB)^2-square design matrix
 that the dual-frame expansion replaced, and the sampled reconstruction with
 one ``sample_sequential`` and one ``estimate_ev`` per basis pair. Every grid
 value and reconstruction must match them within 1e-12 on seeded random
-instances, and a sampled reconstruction exactly.
+instances, and a Choi matrix and a sampled reconstruction exactly.
 """
 
 import functools
@@ -22,6 +23,7 @@ from qsot import (
     Observable,
     Process,
     canonical_sot,
+    choi_matrix,
     estimate_ev,
     estimate_pdm,
     joint_distribution,
@@ -107,6 +109,16 @@ def ref_reconstruct(process):
     coeffs, _, rank, _ = np.linalg.lstsq(design, np.asarray(rhs), rcond=None)
     assert rank == len(herm)
     return sum(c * H for c, H in zip(coeffs, herm))
+
+
+def ref_choi(channel):
+    """sum_k vec(K_k) vec(K_k)^dagger, accumulated one Kraus operator at a time."""
+    d = channel.dim_in * channel.dim_out
+    choi = np.zeros((d, d), dtype=complex)
+    for K in channel.kraus:
+        v = K.T.reshape(d)  # v[(i, out)] = K[out, i], A-major
+        choi += np.outer(v, v.conj())
+    return choi
 
 
 def ref_estimate_pdm(process, basis_A, basis_B, shots, seed):
@@ -318,6 +330,19 @@ def test_representability_residual_matches_scalar_loop(seed, dA, dB, rank, kinds
     X = canonical_sot(process).matrix
     assert abs(representability_residual(process, X, probes)
                - ref_residual(process, X, probes)) <= TOL
+
+
+@FAST
+@given(seed=seeds, dA=dims, dB=dims)
+def test_choi_and_jamiolkowski_match_kraus_loop(seed, dA, dB):
+    # Equal bits: the stacked sum adds the same outer products in the same order.
+    rng = np.random.default_rng(seed)
+    channel = random_channel(dA, dB, rng, env_dim=int(rng.integers(-(-dA // dB), dA + 2)))
+    want = ref_choi(channel)
+    assert np.array_equal(choi_matrix(channel), want)
+    d = dA * dB
+    swapped = want.reshape(dA, dB, dA, dB).transpose(2, 1, 0, 3).reshape(d, d)
+    assert np.array_equal(channel.jamiolkowski, swapped)
 
 
 @pytest.mark.parametrize("dA,dB", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)])

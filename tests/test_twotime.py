@@ -69,7 +69,7 @@ def test_joint_distribution_marginals():
         O_B = Observable(random_hermitian(2, rng))
         dist = joint_distribution(proc, O_A, O_B)
         assert np.isclose(dist.probs.sum(), 1.0)
-        pA = dist.marginal_A()
+        pA = dist.probs.sum(axis=1)
         for i, P in enumerate(O_A.spectral.projectors):
             assert np.isclose(pA[i], np.trace(proc.rho @ P).real, atol=1e-10)
         # conditional factorization wherever the first marginal is nonzero
@@ -77,7 +77,8 @@ def test_joint_distribution_marginals():
             if pA[i] > 1e-12:
                 cond = dist.probs[i] / pA[i]
                 assert np.isclose(cond.sum(), 1.0, atol=1e-9)
-        assert np.isclose(dist.expectation(), two_time_ev(proc, O_A, O_B))
+        expectation = dist.outcomes_A @ dist.probs @ dist.outcomes_B
+        assert np.isclose(expectation, two_time_ev(proc, O_A, O_B))
 
 
 def test_one_time_marginal_identities():
