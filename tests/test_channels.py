@@ -131,17 +131,28 @@ def test_choi_identity_is_maximally_entangled_dyad():
         assert np.linalg.norm(C - np.outer(vec, vec.conj())) < 1e-12
 
 
-def test_constructor_accepts_identity():
-    for d in (2, 3):
-        chan = QuantumChannel([np.eye(d)])
-        assert chan.kraus.shape == (1, d, d) and not chan.kraus.flags.writeable
-        assert np.linalg.norm(chan.kraus[0].conj().T @ chan.kraus[0] - np.eye(d)) < 1e-12
-        assert abs(np.linalg.eigvalsh(choi_matrix(chan)).min()) < 1e-12
+def test_validate_cptp_identity():
+    # The constructor's CPTP check accepts the identity channel: TP residual and Choi spectrum.
+    chan = identity_channel(3)
+    rows = chan.kraus.reshape(-1, 3)
+    assert np.linalg.norm(rows.conj().T @ rows - np.eye(3)) < 1e-12
+    assert abs(np.linalg.eigvalsh(choi_matrix(chan)).min()) < 1e-12
+
+
+def test_validate_cptp_single_kraus_identity():
+    chan = QuantumChannel([np.eye(2)])
+    assert chan.kraus.shape == (1, 2, 2) and not chan.kraus.flags.writeable
+
+
+def test_validate_cptp_rejects_scaled_kraus():
+    # TP residual ||1.21 * 1 - 1|| = 0.21 sqrt(2); the Choi matrix stays positive.
+    assert np.isclose(abs(1.21 - 1) * np.sqrt(2), 2.970e-01, atol=5e-5)
+    with pytest.raises(InvalidParameter, match=r"TP residual 2\.970e-01, min Choi eigenvalue"):
+        QuantumChannel([1.1 * PAULI[1]])
 
 
 def test_constructor_rejects_invalid_kraus():
-    # TP residual ||1.21 * 1 - 1|| = 0.21 sqrt(2); the Choi matrix stays positive.
-    with pytest.raises(InvalidParameter, match=r"TP residual 2\.970e-01, min Choi eigenvalue"):
+    with pytest.raises(InvalidParameter):
         QuantumChannel([1.1 * PAULI[1]])
 
 
