@@ -31,9 +31,12 @@ class QuantumChannel:
         K = np.array(kraus)
         self.dim_out, self.dim_in = shape
         # v[k, (i, out)] = K_k[out, i] with A-major indexing, so the Choi matrix
-        # sum_ij E_ij (x) E(E_ij) is sum_k vec(K_k) vec(K_k)^dagger, added in Kraus order.
+        # sum_ij E_ij (x) E(E_ij) is sum_k vec(K_k) vec(K_k)^dagger, added in Kraus
+        # order one outer product at a time, so it needs O(D^2) memory, not O(nk D^2).
         v = K.transpose(0, 2, 1).reshape(len(K), -1)
-        choi = (v[:, :, None] * v[:, None, :].conj()).sum(axis=0)
+        choi = np.zeros((v.shape[1], v.shape[1]), dtype=complex)
+        for vk in v:
+            choi += np.outer(vk, vk.conj())
         rows = K.reshape(-1, self.dim_in)
         tp_residual = float(np.linalg.norm(rows.conj().T @ rows - np.eye(self.dim_in)))
         min_eig = float(np.linalg.eigvalsh(choi).min())

@@ -165,10 +165,15 @@ def report_doc(reports) -> dict:
 
 
 def load_document(path: str, expect_kind: str | None = None) -> tuple:
+    """Read a UTF-8 JSON document and open its envelope.
+
+    Unreadable files, bytes that are not UTF-8, malformed JSON and nesting too
+    deep for the parser all raise ParseError.
+    """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return open_envelope(doc, expect_kind)
 

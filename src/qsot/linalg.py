@@ -58,11 +58,14 @@ class SpectralDecomposition:
 
     Eigenvalues are ascending; ``projectors[k]`` projects onto the full
     eigenspace of ``eigenvalues[k]`` (degenerate eigenspaces are never split).
+    ``projectors`` is one read-only (n, dim, dim) array. ``norm`` is the
+    spectral norm: the largest |eigenvalue| before clustering.
     """
 
     dim: int
     eigenvalues: np.ndarray
-    projectors: tuple
+    projectors: np.ndarray
+    norm: float
 
 
 def hermitian_eigendecomposition(H) -> SpectralDecomposition:
@@ -83,7 +86,8 @@ def _decompose(H: np.ndarray) -> SpectralDecomposition:
         w, V = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-    gap = CLUSTER_RTOL * float(np.max(np.abs(w), initial=0.0))
+    norm = float(np.max(np.abs(w), initial=0.0))
+    gap = CLUSTER_RTOL * norm
     clusters = []
     start = 0
     for k in range(1, len(w) + 1):
@@ -91,8 +95,10 @@ def _decompose(H: np.ndarray) -> SpectralDecomposition:
             clusters.append(slice(start, k))
             start = k
     eigenvalues = np.array([float(np.mean(w[s])) for s in clusters])
-    projectors = tuple(V[:, s] @ V[:, s].conj().T for s in clusters)
-    return SpectralDecomposition(dim=H.shape[0], eigenvalues=eigenvalues, projectors=projectors)
+    projectors = np.array([V[:, s] @ V[:, s].conj().T for s in clusters])
+    projectors.flags.writeable = False
+    return SpectralDecomposition(dim=H.shape[0], eigenvalues=eigenvalues, projectors=projectors,
+                                 norm=norm)
 
 
 def tensor(A, B) -> np.ndarray:

@@ -20,7 +20,7 @@ from .errors import (
     IsLightTouch,
     NotLightTouch,
 )
-from .linalg import CLUSTER_RTOL, COUNTEREXAMPLE_RTOL, GRAM_RTOL, anticommutator, tensor
+from .linalg import CLUSTER_RTOL, COUNTEREXAMPLE_RTOL, GRAM_RTOL
 from .observables import Observable, gram_matrix, hermitian_basis
 from .twotime import _frames, _stack, _values, trace_grid, two_time_grid
 
@@ -47,10 +47,18 @@ class StateOverTime:
 
 
 def canonical_sot(process: Process) -> StateOverTime:
-    """(1/2){rho (x) 1, J[E]}, tagged closed-form."""
+    """(1/2){rho (x) 1, J[E]}, tagged closed-form.
+
+    No Kronecker product is formed: with J[(a, b), (a', b')], the product
+    (rho (x) 1) J contracts rho with J's A row index a, and J (rho (x) 1),
+    the transpose of (rho^T (x) 1) J^T, contracts it with J's A column index a'.
+    """
     dA, dB = process.dim_in, process.dim_out
-    lifted = tensor(process.rho, np.eye(dB))
-    M = 0.5 * anticommutator(lifted, process.channel.jamiolkowski)
+    d = dA * dB
+    rho, J = process.rho, process.channel.jamiolkowski
+    left = rho @ J.reshape(dA, dB * d)
+    right = rho.T @ J.T.reshape(dA, dB * d)
+    M = 0.5 * (left.reshape(d, d) + right.reshape(d, d).T)
     return StateOverTime(matrix=M, dimA=dA, dimB=dB, provenance="closed-form")
 
 

@@ -48,7 +48,7 @@ def _luders_stack(rho: np.ndarray, As) -> np.ndarray:
     """
     decs = [A.spectral for A in As]
     lam = np.concatenate([dec.eigenvalues for dec in decs])
-    P = np.array([P for dec in decs for P in dec.projectors])
+    P = np.concatenate([dec.projectors for dec in decs])
     starts = np.cumsum([0] + [len(dec.eigenvalues) for dec in decs[:-1]])
     return np.add.reduceat(lam[:, None, None] * (P @ rho @ P), starts, axis=0)
 
@@ -129,8 +129,8 @@ def _joint_table(process: Process, As, Bs) -> tuple:
     _check_dim(As, process.dim_in, "O_A", "channel input")
     _check_dim(Bs, process.dim_out, "O_B", "channel output")
     decA, decB = [A.spectral for A in As], [B.spectral for B in Bs]
-    P = np.array([P for dec in decA for P in dec.projectors])
-    Q = np.array([Q for dec in decB for Q in dec.projectors])
+    P = np.concatenate([dec.projectors for dec in decA])
+    Q = np.concatenate([dec.projectors for dec in decB])
     table = _pairings(_evolve(process.channel, P @ process.rho @ P), Q)
     if table.min() < -PROB_NEG_LIMIT:
         raise NumericalFailure(f"probability {table.min()} below clamping limit")
@@ -162,14 +162,14 @@ def sot_trace_value(X: np.ndarray, O_A: Observable, O_B: Observable) -> float:
 
 
 def _unique(observables) -> tuple:
-    """The distinct observables by identity, and each input's index among them."""
-    first, unique, index = {}, [], []
-    for obs in observables:
-        if id(obs) not in first:
-            first[id(obs)] = len(unique)
-            unique.append(obs)
-        index.append(first[id(obs)])
-    return unique, np.array(index, dtype=int)
+    """The distinct observables by identity, and each input's index among them.
+
+    One sort of the ids groups the repeats, with no per-element branch; the
+    distinct observables come out in id order, which no caller depends on.
+    """
+    ids = np.fromiter(map(id, observables), dtype=np.intp, count=len(observables))
+    _, first, index = np.unique(ids, return_index=True, return_inverse=True)
+    return [observables[i] for i in first.tolist()], index
 
 
 def representability_residual(process: Process, X, probes) -> float:
@@ -177,21 +177,23 @@ def representability_residual(process: Process, X, probes) -> float:
 
     Each probe is normalized by max(1, ||O_A|| ||O_B||) in spectral norm so
     residuals are comparable across probe scales. The distinct first and
-    second observables make one grid of each side, and each norm is taken
-    once per distinct observable.
+    second observables make one grid of each side. The first observables'
+    norms come from the spectral decompositions the grid already uses; the
+    second observables' from one batched eigvalsh.
     """
     dA, dB = process.dim_in, process.dim_out
     X = _check_sot_shape(X, dA, dB)
     probes = list(probes)
     if not probes:
         return 0.0
-    As, ia = _unique([A for A, _ in probes])
-    Bs, ib = _unique([B for _, B in probes])
+    firsts, seconds = zip(*probes)
+    As, ia = _unique(firsts)
+    Bs, ib = _unique(seconds)
     A = _stack(As, dA, "O_A", "channel input")
     B = _stack(Bs, dB, "O_B", "channel output")
     dev = np.abs(_values(process, As, B) - _traces(X, A, B))[ia, ib]
-    norm_A = np.linalg.norm(A, 2, axis=(1, 2))
-    norm_B = np.linalg.norm(B, 2, axis=(1, 2))
+    norm_A = np.array([obs.spectral.norm for obs in As])
+    norm_B = np.abs(np.linalg.eigvalsh(B)).max(axis=1)
     return float(np.max(dev / np.maximum(1.0, norm_A[ia] * norm_B[ib])))
 
 

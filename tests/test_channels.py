@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,20 @@ def test_isometry_embed_3_3_complement():
 def test_discard_prepare_mixed_jamiolkowski():
     J = discard_prepare(np.eye(3) / 3).jamiolkowski
     assert np.linalg.norm(J - np.eye(9) / 3) < 1e-12
+
+
+def test_choi_construction_memory_is_quadratic_in_dimension():
+    # 144 Kraus operators on a 144-dimensional Choi space: a stacked (nk, D, D)
+    # broadcast would take 47 MiB, the Choi matrix itself takes 0.3 MiB.
+    discard_prepare(np.eye(2) / 2)  # warm up lazy imports outside the trace
+    tracemalloc.start()
+    try:
+        channel = discard_prepare(np.eye(12) / 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert channel.kraus.shape == (144, 12, 12)
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize("dim_in", [0, -1])

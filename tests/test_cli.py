@@ -365,3 +365,14 @@ def test_malformed_process_payload_exits_2(tmp_path, capsys, payload):
     io.dump_document(io.envelope("process", payload), str(path))
     assert main(["sot", str(path)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe", b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf8", "deeply-nested"])
+def test_unparseable_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "process.json"
+    path.write_bytes(content)
+    assert main(["sot", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"parse error: cannot read {path}") and len(err.splitlines()) == 1

@@ -2,7 +2,8 @@
 
 The ``ref_*`` functions are those loops, kept slow and obvious: one Kraus
 application per eigenprojector and probe pair, one ``np.kron`` per trace,
-one outer product per Kraus operator for the Choi matrix,
+one outer product per Kraus operator for the Choi matrix, the anticommutator
+with the Kronecker-lifted state for the canonical state over time,
 the least-squares reconstruction over a (dA dB)^2-square design matrix
 that the dual-frame expansion replaced, and the sampled reconstruction with
 one ``sample_sequential`` and one ``estimate_ev`` per basis pair. Every grid
@@ -11,6 +12,7 @@ instances, and a Choi matrix and a sampled reconstruction exactly.
 """
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -119,6 +121,13 @@ def ref_choi(channel):
         v = K.T.reshape(d)  # v[(i, out)] = K[out, i], A-major
         choi += np.outer(v, v.conj())
     return choi
+
+
+def ref_canonical_sot(process):
+    """0.5 {rho (x) 1, J} with the lifted state formed by np.kron."""
+    lifted = np.kron(process.rho, np.eye(process.dim_out))
+    J = process.channel.jamiolkowski
+    return 0.5 * (lifted @ J + J @ lifted)
 
 
 def ref_estimate_pdm(process, basis_A, basis_B, shots, seed):
@@ -312,6 +321,15 @@ def test_trace_grid_matches_kron(seed, dA, dB, rank, kinds_A, kinds_B):
         want = np.array([[ref_trace_value(X, A, B) for B in Bs] for A in As])
         assert np.abs(grid - want).max() <= TOL
         assert abs(sot_trace_value(X, As[-1], Bs[0]) - want[-1, 0]) <= TOL
+
+
+def test_canonical_sot_matches_kron():
+    rng = np.random.default_rng(11)
+    for dA, dB in itertools.product(range(1, 7), repeat=2):
+        for rank in (1, dA):
+            process = make_process(rng, dA, dB, rank)
+            X = canonical_sot(process).matrix
+            assert np.abs(X - ref_canonical_sot(process)).max() <= TOL
 
 
 # ------------------------------------------------------------ callers

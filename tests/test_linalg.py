@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsot import (
     DimensionMismatch,
@@ -10,6 +12,7 @@ from qsot import (
     partial_trace,
     tensor,
 )
+from qsot.linalg import CLUSTER_RTOL
 from qsot.observables import PAULI
 
 
@@ -89,6 +92,46 @@ def test_eigendecomposition_reconstructs(d):
         dec = hermitian_eigendecomposition(H)
         rebuilt = sum(lam * P for lam, P in zip(dec.eigenvalues, dec.projectors))
         assert np.linalg.norm(rebuilt - H) < 1e-9
+
+
+def spectrum(rng, d, kind):
+    """d eigenvalues: generic, near-degenerate (chains of relative gaps below and
+    above CLUSTER_RTOL) or rank-deficient (at least one exact zero)."""
+    w = rng.standard_normal(d)
+    if kind == "near-degenerate" and d > 1:
+        w = np.sort(w)
+        scale = np.abs(w).max()
+        for k in range(1, d):
+            if rng.random() < 0.7:
+                w[k] = w[k - 1] + scale * rng.choice([1e-12, 1e-10, 5e-9, 2e-8, 1e-7])
+    if kind == "rank-deficient":
+        w[: int(rng.integers(1, d + 1))] = 0.0
+    return w
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@example(seed=13, d=6, log_scale=-12.0, kind="near-degenerate")
+@example(seed=13, d=6, log_scale=6.0, kind="rank-deficient")
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6),
+       log_scale=st.floats(-12.0, 6.0),
+       kind=st.sampled_from(["generic", "near-degenerate", "rank-deficient"]))
+def test_spectral_decomposition_properties(seed, d, log_scale, kind):
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    U, _ = np.linalg.qr(G)
+    H = 10.0**log_scale * (U * spectrum(rng, d, kind)) @ U.conj().T
+    H = 0.5 * (H + H.conj().T)
+    dec = hermitian_eigendecomposition(H)
+    P, lam = dec.projectors, dec.eigenvalues
+    assert isinstance(P, np.ndarray) and P.shape == (len(lam), d, d)
+    assert not P.flags.writeable
+    assert np.linalg.norm(P.sum(axis=0) - np.eye(d), 2) <= 1e-12
+    norm = np.linalg.norm(H, 2)
+    assert abs(dec.norm - norm) <= 1e-12 * norm
+    # Merging a chain of gaps up to CLUSTER_RTOL * norm moves an eigenvalue by
+    # at most (d - 1) such gaps; roundoff adds far less than 1e-12 * norm.
+    rebuilt = np.einsum("k,kij->ij", lam, P)
+    assert np.linalg.norm(rebuilt - H, 2) <= ((d - 1) * CLUSTER_RTOL + 1e-12) * norm
 
 
 def test_projector_algebra():
