@@ -30,6 +30,11 @@ class QuantumChannel:
             raise DimensionMismatch("Kraus operators must share a common shape")
         K = np.array(kraus)
         self.dim_out, self.dim_in = shape
+        rows = K.reshape(-1, self.dim_in)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as inf or nan
+            tp_residual = float(np.linalg.norm(rows.conj().T @ rows - np.eye(self.dim_in)))
+        if not np.isfinite(tp_residual):  # the Choi matrix would overflow too
+            raise InvalidParameter("Kraus set is not CPTP: sum_k K_k^dagger K_k overflows")
         # v[k, (i, out)] = K_k[out, i] with A-major indexing, so the Choi matrix
         # sum_ij E_ij (x) E(E_ij) is sum_k vec(K_k) vec(K_k)^dagger, added in Kraus
         # order one outer product at a time, so it needs O(D^2) memory, not O(nk D^2).
@@ -37,8 +42,6 @@ class QuantumChannel:
         choi = np.zeros((v.shape[1], v.shape[1]), dtype=complex)
         for vk in v:
             choi += np.outer(vk, vk.conj())
-        rows = K.reshape(-1, self.dim_in)
-        tp_residual = float(np.linalg.norm(rows.conj().T @ rows - np.eye(self.dim_in)))
         min_eig = float(np.linalg.eigvalsh(choi).min())
         if tp_residual > TP_TOL or min_eig < -TP_TOL:
             raise InvalidParameter(

@@ -27,6 +27,8 @@ PROB_SUM_TOL = 1e-8  # absolute: |sum of a joint distribution - 1|
 GRAM_RTOL = 1e-8  # relative: Gram off-diagonals and norm spread against the largest squared norm
 SIC_OVERLAP_TOL = 1e-10  # absolute: |Tr[P_a P_b] - 1/4| over distinct SIC projector pairs
 FIDUCIAL_NORM_TOL = 1e-12  # absolute: | ||psi|| - 1 | for a SIC fiducial
+SIC_ANGLE_TOL = 1e-10  # absolute: |theta - a| in radians from the nearest V-family phase a;
+#                        an error of 1e-10 moves the SIC overlaps by less than SIC_OVERLAP_TOL
 WEIGHT_CUT = 1e-15  # absolute: prepared-state eigenvalues at or below it get no Kraus operators
 COUNTEREXAMPLE_RTOL = 1e-6  # relative: the least maximality-counterexample residual,
 #                             against max |eigenvalue| of the first observable

@@ -16,6 +16,7 @@ from .errors import FailedOverlapCondition, InvalidIndex, ParameterOutOfRange
 from .linalg import (
     CLUSTER_RTOL,
     FIDUCIAL_NORM_TOL,
+    SIC_ANGLE_TOL,
     SIC_OVERLAP_TOL,
     SpectralDecomposition,
     _decompose,
@@ -153,9 +154,7 @@ def sic_fiducial_v(r0: float, theta: float, phi: float, permutation=(0, 1, 2)) -
     """Fiducial (r0, r+ e^{i theta}, r- e^{i phi}) with r+- = (r0 +- sqrt(2 - 3 r0^2))/2."""
     if not 1 / np.sqrt(2) < r0 <= np.sqrt(2 / 3):
         raise ParameterOutOfRange("r0 must satisfy 1/sqrt(2) < r0 <= sqrt(2/3)")
-    if not any(np.isclose(theta, a) for a in _VALID_ANGLES) or not any(
-        np.isclose(phi, a) for a in _VALID_ANGLES
-    ):
+    if not all(np.abs(np.subtract(_VALID_ANGLES, x)).min() <= SIC_ANGLE_TOL for x in (theta, phi)):
         raise ParameterOutOfRange("theta and phi must lie in {pi/3, pi, 5 pi/3}")
     root = np.sqrt(max(2 - 3 * r0**2, 0.0))
     r_plus = (r0 + root) / 2

@@ -3,10 +3,11 @@
 The counts of n shots over the outcome pairs (i, j) of the two measurements
 follow Multinomial(n, P(i, j)), with P(i, j) the exact joint distribution. One
 multinomial draw from one counter-based Philox stream keyed on the seed gives
-them, so counts are a pure function of (seed, shots). ``estimate_pdm`` takes
-the joint distributions of all basis pairs from one batched table and draws
-each pair from its own stream: Philox streams are fixed by their keys, so one
-generator re-keyed before each pair gives the counts of a fresh one per pair.
+them, so counts are a pure function of (seed, shots). A stream is fixed by its
+key, and ``_philox_state`` is the one way the module keys one: a state of plain
+Python ints, set on a generator. ``estimate_pdm`` takes the joint distributions
+of all basis pairs from one batched table and re-keys one generator to each
+pair's own stream, which gives the counts of a fresh generator per pair.
 """
 
 from __future__ import annotations
@@ -48,29 +49,27 @@ def _check_shots(shots: int) -> None:
         raise InvalidParameter(f"shots must lie in [1, 2^63), got {shots}")
 
 
+def _philox_state(seed: int) -> dict:
+    """The Philox state at the start of the stream keyed [seed, 0]: counter 0, nothing buffered.
+
+    Plain Python ints, which the state setter casts to uint64 one by one, so
+    every seed in [0, 2^64) is exact; a list passed as ``Philox(key=...)``
+    goes through float64 from 2^63 on, and numpy arrays take three times as long.
+    """
+    return {"bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": [seed, 0]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def _rng(seed: int) -> np.random.Generator:
-    # The key is built as uint64: from a Python list numpy would convert keys
-    # of 2^63 and above through float64, so that distinct seeds collide.
-    return np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    bit_generator = np.random.Philox(0)  # a fixed seed draws no OS entropy; the key replaces it
+    bit_generator.state = _philox_state(seed)
+    return np.random.Generator(bit_generator)
 
 
 def _rekey(gen: np.random.Generator, seed: int) -> None:
-    """Reset a Philox generator in place to the start of the stream ``_rng(seed)`` gives.
-
-    Key [seed, 0], counter 0, an empty buffer and no cached 32-bit half, so
-    nothing of the previous stream carries over. Setting the state skips the
-    OS-entropy ``SeedSequence`` that each ``Philox`` construction fills and
-    the key then overrides.
-    """
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([seed, 0], dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    """Reset a Philox generator in place to the start of the stream ``_rng(seed)`` gives."""
+    gen.bit_generator.state = _philox_state(seed)
 
 
 def sample_sequential(process: Process, O_A: Observable, O_B: Observable,
@@ -106,11 +105,12 @@ def estimate_ev(record: ShotRecord, outcomes_A, outcomes_B) -> tuple:
 def _row_sums(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Row k of x summed over its first sizes[k] cells, as numpy sums those cells alone.
 
-    numpy adds eight or more numbers pairwise, so a zero-padded row summed
-    whole can round differently from the unpadded block; rows of one length
-    are therefore summed together at that length. The lengths come from a
-    set, not np.unique, which imports numpy.ma (1.5 MiB resident) on first use.
+    numpy sums under eight numbers one by one from +0.0, so zero padding that narrow
+    changes no bit; from eight on it sums pairwise, so rows of one length are summed
+    together at that length, taken from a set (np.unique imports numpy.ma, 1.5 MiB).
     """
+    if x.shape[1] < 8:
+        return x.sum(axis=1)
     out = np.empty(len(x))
     for n in set(sizes.tolist()):
         rows = sizes == n
@@ -124,52 +124,52 @@ def estimate_pdm(process: Process, basis_A, basis_B, shots_per_pair: int,
 
     Every pair (A_a, B_b) reads its joint distribution from one batched
     probability table over all eigenprojectors of both bases, and each block
-    is checked to sum to 1. Pair k = a len(basis_B) + b draws its counts as
-    one multinomial over exactly its cells from its own Philox stream, keyed
-    on (seed * 0x9E3779B9 + k) mod 2^64. One generator serves every pair and
-    is re-keyed to the pair's stream before its draw, so the counts are those
-    ``sample_sequential`` gives for the pair at that seed, and a given seed
-    yields the same counts as in earlier versions. The means and standard
+    is checked to sum to 1. Pair k = a len(basis_B) + b draws its counts as one
+    multinomial over exactly its cells from its own Philox stream, keyed on
+    (seed * 0x9E3779B9 + k) mod 2^64, by re-keying one generator: the counts are
+    those ``sample_sequential`` gives the pair at that seed. The means and standard
     errors of ``estimate_ev`` follow for all pairs at once. ``stderr`` is the
-    Frobenius standard error sqrt(sum_ab s_ab^2 / (c_A c_B)) of the
-    expansion over bases with Gram matrices c_A 1 and c_B 1.
+    Frobenius standard error sqrt(sum_ab s_ab^2 / (c_A c_B)) of the expansion
+    over bases with Gram matrices c_A 1 and c_B 1.
     """
     _check_shots(shots_per_pair)
     _check_seed(seed)
     if not len(basis_A) or not len(basis_B):
         raise DimensionMismatch("both observable bases must be nonempty")
     table, starts_A, starts_B = _joint_table(process, basis_A, basis_B)
-    outcomes = np.outer(np.concatenate([A.spectral.eigenvalues for A in basis_A]),
-                        np.concatenate([B.spectral.eigenvalues for B in basis_B]))
-    # Row k holds pair k's cells, row-major in its block, zero-padded to the widest pair.
-    nA, nB = len(basis_A), len(basis_B)
-    a, b = np.divmod(np.arange(nA * nB), nB)
-    rows, cols = np.diff(starts_A)[a, None], np.diff(starts_B)[b, None]
-    sizes = (rows * cols)[:, 0]
-    cell = np.arange(sizes.max())
-    i, j = np.divmod(cell, cols)
-    valid = i < rows
-    index = np.where(valid, (starts_A[a, None] + i) * table.shape[1] + starts_B[b, None] + j, 0)
-    probs = np.where(valid, table.ravel()[index], 0.0)
-    products = np.where(valid, outcomes.ravel()[index], 0.0)
-
+    lam = np.concatenate([A.spectral.eigenvalues for A in basis_A])
+    mu = np.concatenate([B.spectral.eigenvalues for B in basis_B])
+    # Pair (a, b) holds its block's cells row-major at [a, b], zero-padded to the widest
+    # pair: cell t sits at table row starts_A[a] + t // cols[b], column starts_B[b] + t % cols[b].
+    rows, cols = np.diff(starts_A), np.diff(starts_B)
+    i, j = np.divmod(np.arange(rows.max() * cols.max()), cols[:, None])
+    valid = i < rows[:, None, None]
+    r, c = np.where(valid, starts_A[:-1, None, None] + i, 0), starts_B[:-1, None] + j
+    valid = valid.reshape(len(basis_A) * len(basis_B), -1)
+    probs = np.where(valid, table[r, c].reshape(valid.shape), 0.0)
+    products = np.where(valid, (lam[r] * mu[c]).reshape(valid.shape), 0.0)
+    sizes = np.outer(rows, cols).ravel()
     totals = _row_sums(probs, sizes)
     off = np.flatnonzero(np.abs(totals - 1.0) > PROB_SUM_TOL)
     if off.size:
-        k = off[0]
-        raise NumericalFailure(f"joint distribution of pair ({a[k]}, {b[k]}) sums to {totals[k]}")
-    counts = np.zeros(probs.shape, dtype=np.int64)
-    gen = _rng(0)
+        pair = divmod(int(off[0]), len(basis_B))
+        raise NumericalFailure(f"joint distribution of pair {pair} sums to {totals[off[0]]}")
+    pvals = probs / totals[:, None]
+    gen = np.random.Generator(np.random.Philox(0))  # re-keyed before every draw
+    base = seed * 0x9E3779B9
+    draws = []
     for k, size in enumerate(sizes.tolist()):
-        _rekey(gen, (seed * 0x9E3779B9 + k) & 0xFFFFFFFFFFFFFFFF)
-        counts[k, :size] = gen.multinomial(shots_per_pair, probs[k, :size] / totals[k])
+        _rekey(gen, (base + k) & 0xFFFFFFFFFFFFFFFF)
+        draws.append(gen.multinomial(shots_per_pair, pvals[k, :size]))
+    counts = np.zeros(valid.shape, dtype=np.int64)
+    counts[valid] = np.concatenate(draws)
 
     n = shots_per_pair
     means = _row_sums(counts * products, sizes) / n
     # One shot leaves every deviation at exactly 0, so dividing by 1 keeps var at 0.
     var = _row_sums(counts * (products - means[:, None]) ** 2, sizes) / max(n - 1, 1)
     sot = pdm_from_correlations(process.dim_in, process.dim_out, basis_A, basis_B,
-                                means.reshape(nA, nB))
+                                means.reshape(len(basis_A), len(basis_B)))
     # sqrt(c_A c_B): the bases passed the common-norm check of pdm_from_correlations.
     scale = np.linalg.norm(basis_A[0].matrix) * np.linalg.norm(basis_B[0].matrix)
     stderr = float(np.sqrt(var.sum() / n)) / scale

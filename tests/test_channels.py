@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -156,6 +157,14 @@ def test_validate_cptp_rejects_scaled_kraus():
 def test_constructor_rejects_invalid_kraus():
     with pytest.raises(InvalidParameter):
         QuantumChannel([1.1 * PAULI[1]])
+
+
+def test_constructor_rejects_an_overflowing_kraus_set_before_the_spectrum():
+    # sum_k K_k^dagger K_k holds 1e400 = inf: the Choi spectrum cannot be taken.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameter, match=r"not CPTP: sum_k K_k\^dagger K_k overflows"):
+            QuantumChannel([1e200 * np.eye(2)])
 
 
 def test_isometry_embed_2_2_is_identity():

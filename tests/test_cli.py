@@ -77,6 +77,18 @@ def test_invalid_process_exits_3(tmp_path):
     assert main(["sot", str(path)]) == 3
 
 
+@pytest.mark.parametrize("kraus", [1.1 * PAULI[1], 1e200 * np.eye(2)],
+                         ids=["scaled", "overflowing"])
+def test_non_cptp_process_exits_3_with_one_line(tmp_path, capsys, kraus):
+    payload = _process_payload(channel={"kraus": [io.matrix_to_json(kraus)]})
+    path = tmp_path / "process.json"
+    io.dump_document(io.envelope("process", payload), str(path))
+    assert main(["sot", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: Kraus set is not CPTP: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_sic_subcommand(tmp_path):
     out = tmp_path / "sic.json"
     assert main(["sic", "--family", "W", "--chi", "0.0", "--out", str(out)]) == 0
@@ -91,6 +103,12 @@ def test_sic_subcommand(tmp_path):
 def test_sic_rejects_out_of_range_fiducial(tmp_path):
     out = tmp_path / "sic.json"
     assert main(["sic", "--family", "V", "--r0", "0.5", "--out", str(out)]) == 3
+
+
+def test_sic_v_family_default_phases_accepted(tmp_path):
+    out = tmp_path / "sic.json"
+    assert main(["sic", "--family", "V", "--r0", "0.75", "--out", str(out)]) == 0
+    assert main(["sic", "--family", "V", "--r0", "0.75", "--theta", "3.14159"]) == 3
 
 
 def test_sic_arbitrary_chi(tmp_path):

@@ -111,3 +111,22 @@ print(json.dumps(steps))
         "shots": {"qsot.sampler": True, "qsot.verify": False},
         "verify": {"qsot.sampler": True, "qsot.verify": True},
     }
+
+
+def test_sampler_paths_leave_numpy_ma_unloaded(tmp_path):
+    # numpy.ma adds ~1.5 MiB resident once imported (np.unique loads it, for one).
+    out = run_fresh(f"""
+import json, sys
+import numpy as np
+from qsot import Process, estimate_pdm, hermitian_basis, io, pauli_basis, random_process
+from qsot.cli import main
+
+process = random_process(2, 2, np.random.default_rng(0))
+estimate_pdm(process, pauli_basis(1), hermitian_basis(2), 200, seed=3)
+after_estimate = "numpy.ma" in sys.modules
+path = {str(tmp_path / "process.json")!r}
+io.dump_document(io.process_doc(process), path)
+code = main(["pdm-reconstruct", path, "--shots", "200", "--out", path + ".out"])
+print(json.dumps({{"estimate": after_estimate, "cli": "numpy.ma" in sys.modules, "code": code}}))
+""")
+    assert out == {"estimate": False, "cli": False, "code": 0}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsot import (
     IndexOutOfRange,
@@ -202,6 +204,47 @@ def test_estimate_pdm_pair_streams_distinct_at_large_seed(monkeypatch):
 
 
 REKEY_SEEDS = (0, 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1)
+# _rng(seed).multinomial(1000, [0.1, 0.2, 0.3, 0.4]), recorded while the key was still
+# set from numpy uint64 arrays: the streams are pinned by value, not only against _rng.
+PINNED_COUNTS = {
+    0: [96, 192, 318, 394],
+    1: [95, 206, 320, 379],
+    2**32: [100, 214, 309, 377],
+    2**63 - 1: [91, 199, 293, 417],
+    2**63: [120, 191, 298, 391],
+    2**64 - 1: [95, 200, 296, 409],
+}
+
+
+@pytest.mark.parametrize("seed", REKEY_SEEDS)
+def test_streams_give_the_pinned_counts(seed):
+    probs = [0.1, 0.2, 0.3, 0.4]
+    assert _rng(seed).multinomial(1000, probs).tolist() == PINNED_COUNTS[seed]
+    gen = _rng(3)
+    gen.random(3)
+    _rekey(gen, seed)
+    assert gen.multinomial(1000, probs).tolist() == PINNED_COUNTS[seed]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), start=st.integers(0, 2**64 - 1),
+       used=st.lists(st.sampled_from(["uint32", "uint64", "double"]), max_size=6))
+def test_rekey_after_any_use_equals_a_fresh_stream(seed, start, used):
+    gen = _rng(start)
+    for kind in used:  # leaves a cached 32-bit half, a partly read buffer, or both
+        if kind == "double":
+            gen.random()
+        else:
+            gen.integers(0, 2**32 if kind == "uint32" else 2**64,
+                         dtype=np.uint32 if kind == "uint32" else np.uint64)
+    # The second reference keys Philox from a uint64 array, apart from _philox_state.
+    keyed = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    for fresh in (_rng(seed), np.random.Generator(keyed)):
+        _rekey(gen, seed)
+        assert gen.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == \
+            fresh.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
+        assert np.array_equal(gen.multinomial(10**5, [0.5, 0.25, 0.25]),
+                              fresh.multinomial(10**5, [0.5, 0.25, 0.25]))
 
 
 @pytest.mark.parametrize("seed", REKEY_SEEDS)

@@ -15,6 +15,7 @@ from qsot import (
     InvalidParameter,
     NotHermitian,
     Observable,
+    ParameterOutOfRange,
     Process,
     QuantumChannel,
     classify_light_touch,
@@ -24,9 +25,11 @@ from qsot import (
     maximality_counterexample,
     pdm_from_correlations,
     random_process,
+    sic_fiducial_v,
+    sic_povm,
     two_time_grid,
 )
-from qsot.linalg import CLUSTER_RTOL, DENSITY_TOL, TP_TOL
+from qsot.linalg import CLUSTER_RTOL, DENSITY_TOL, SIC_ANGLE_TOL, TP_TOL
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
 EXPONENTS = st.floats(-12.0, 6.0)  # s = 10**exponent
@@ -148,6 +151,20 @@ def test_chained_clusters_and_classification_agree(exponent, seed, groups, data)
     assert len(obs.spectral.eigenvalues) == groups
     assert obs.classification.kind == {1: "scalar", 2: "dichotomous", 3: "general"}[groups]
     assert classify_light_touch(obs.matrix) == obs.classification
+
+
+@pytest.mark.parametrize("angle", [np.pi / 3, np.pi, 5 * np.pi / 3])
+def test_sic_angle_boundary(angle):
+    # Half the tolerance off still gives a SIC within SIC_OVERLAP_TOL; twice is rejected.
+    # The CLI's default phases are pi itself.
+    for x in (angle - SIC_ANGLE_TOL / 2, angle + SIC_ANGLE_TOL / 2):
+        sic_povm(sic_fiducial_v(0.75, x, np.pi))
+        sic_povm(sic_fiducial_v(np.sqrt(2 / 3), np.pi, x))
+    for x in (angle - 2 * SIC_ANGLE_TOL, angle + 2 * SIC_ANGLE_TOL):
+        with pytest.raises(ParameterOutOfRange, match="theta and phi"):
+            sic_fiducial_v(0.75, x, np.pi)
+        with pytest.raises(ParameterOutOfRange, match="theta and phi"):
+            sic_fiducial_v(0.75, np.pi, x)
 
 
 @SETTINGS
