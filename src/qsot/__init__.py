@@ -28,7 +28,6 @@ _EXPORTS = {
         "random_process",
     ),
     "errors": (
-        "BasisNotOrthogonal",
         "DimensionMismatch",
         "FailedOverlapCondition",
         "IndexOutOfRange",

@@ -22,11 +22,11 @@ if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.envi
 import numpy as np  # noqa: E402
 
 from . import io  # noqa: E402
-from .errors import InvalidParameter, ParameterOutOfRange, QsotError  # noqa: E402
+from .errors import InvalidParameter, NumericalFailure, ParameterOutOfRange, QsotError  # noqa: E402
 from .observables import (  # noqa: E402
-    Observable,
     hermitian_basis,
     light_touch_basis_qutrit,
+    light_touch_spanning_set,
     pauli_basis,
     sic_fiducial_v,
     sic_fiducial_w,
@@ -179,9 +179,12 @@ def cmd_sample(args) -> int:
     O_A = io.observable_from_payload(pa)
     O_B = io.observable_from_payload(pb)
     record = sampler.sample_sequential(process, O_A, O_B, args.shots, args.seed)
-    mean, stderr = sampler.estimate_ev(record, O_A.spectral.eigenvalues,
-                                       O_B.spectral.eigenvalues)
-    exact = two_time_ev(process, O_A, O_B)
+    with np.errstate(over="ignore", invalid="ignore"):  # judged below, not warned about
+        mean, stderr = sampler.estimate_ev(record, O_A.spectral.eigenvalues,
+                                           O_B.spectral.eigenvalues)
+        exact = two_time_ev(process, O_A, O_B)
+    if not all(map(math.isfinite, (mean, stderr, exact))):
+        raise NumericalFailure("outcome products overflow the float range")
     doc = io.envelope(
         "report",
         {
@@ -200,18 +203,14 @@ def cmd_sample(args) -> int:
     return EXIT_OK
 
 
-def _orthogonal_light_touch_basis(d: int):
-    if d == 1:
-        return [Observable(np.eye(1))]  # the scalar 1: light-touch, Gram matrix 1
+def _light_touch_basis(d: int):
+    """The orthogonal light-touch basis at d = 3 and powers of 2, else the spanning set."""
     if d == 3:
         return light_touch_basis_qutrit(sic_povm(sic_fiducial_w(0.0)))
     m = d.bit_length() - 1
-    if d == 1 << m:
+    if d > 1 and d == 1 << m:
         return pauli_basis(m)
-    raise InvalidParameter(
-        f"--shots needs an orthogonal light-touch basis, and there is none for dimension {d} "
-        f"(available: 1, 3 and powers of 2)"
-    )
+    return light_touch_spanning_set(d)
 
 
 def cmd_pdm_reconstruct(args) -> int:
@@ -220,7 +219,7 @@ def cmd_pdm_reconstruct(args) -> int:
     if args.shots is None:
         sot = reconstruct_unique(process)
     else:
-        basis_A = _orthogonal_light_touch_basis(process.dim_in)
+        basis_A = _light_touch_basis(process.dim_in)
         basis_B = hermitian_basis(process.dim_out)
         sot = sampler.estimate_pdm(process, basis_A, basis_B, args.shots, args.seed)
     _emit(io.sot_doc(sot), args)

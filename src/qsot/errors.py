@@ -33,10 +33,6 @@ class FailedOverlapCondition(QsotError):
     """Candidate fiducial vector does not satisfy the SIC overlap condition."""
 
 
-class BasisNotOrthogonal(QsotError):
-    """Supplied observable basis is not orthogonal with equal norms."""
-
-
 class NotLightTouch(QsotError):
     """An observable expected to be light-touch is not."""
 

@@ -24,7 +24,6 @@ TP_TOL = 1e-9  # absolute: ||sum_k K_k^dagger K_k - 1|| and the most negative Ch
 DENSITY_TOL = 1e-10  # absolute: |Tr rho - 1| and the most negative eigenvalue of a state
 PROB_NEG_LIMIT = 1e-9  # absolute: the most negative joint probability clamped to 0
 PROB_SUM_TOL = 1e-8  # absolute: |sum of a joint distribution - 1|
-GRAM_RTOL = 1e-8  # relative: Gram off-diagonals and norm spread against the largest squared norm
 SIC_OVERLAP_TOL = 1e-10  # absolute: |Tr[P_a P_b] - 1/4| over distinct SIC projector pairs
 FIDUCIAL_NORM_TOL = 1e-12  # absolute: | ||psi|| - 1 | for a SIC fiducial
 SIC_ANGLE_TOL = 1e-10  # absolute: |theta - a| in radians from the nearest V-family phase a;
@@ -45,11 +44,18 @@ def as_matrix(M) -> np.ndarray:
 
 
 def check_hermitian(M) -> np.ndarray:
-    """Return M if hermitian within HERMITICITY_RTOL of its norm, else raise NotHermitian."""
+    """Return M if hermitian within HERMITICITY_RTOL of its norm, else raise NotHermitian.
+
+    M is judged divided by its largest real or imaginary part, finite by as_matrix, so
+    no norm over- or underflows; the parts are divided apart, as a complex division by
+    a subnormal overflows.
+    """
     M = as_matrix(M)
     if M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"hermitian check needs a square matrix, got {M.shape}")
-    if np.linalg.norm(M - M.conj().T) > HERMITICITY_RTOL * np.linalg.norm(M):
+    scale = max(np.abs(M.real).max(initial=0.0), np.abs(M.imag).max(initial=0.0))
+    N = M.real / scale + 1j * (M.imag / scale) if scale else M
+    if np.linalg.norm(N - N.conj().T) > HERMITICITY_RTOL * np.linalg.norm(N):
         raise NotHermitian("matrix is not hermitian within tolerance")
     return M
 

@@ -7,7 +7,8 @@ them, so counts are a pure function of (seed, shots). A stream is fixed by its
 key, and ``_philox_state`` is the one way the module keys one: a state of plain
 Python ints, set on a generator. ``estimate_pdm`` takes the joint distributions
 of all basis pairs from one batched table and re-keys one generator to each
-pair's own stream, which gives the counts of a fresh generator per pair.
+pair's own stream, which gives the counts of a fresh generator per pair, and
+expands the means over the dual frames of any complete bases.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .channels import Process
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidParameter, NumericalFailure
 from .linalg import PROB_SUM_TOL
-from .observables import Observable
+from .observables import Observable, gram_matrix
 from .sot import StateOverTime, pdm_from_correlations
 from .twotime import _joint_table, joint_distribution
 
@@ -128,9 +129,9 @@ def estimate_pdm(process: Process, basis_A, basis_B, shots_per_pair: int,
     multinomial over exactly its cells from its own Philox stream, keyed on
     (seed * 0x9E3779B9 + k) mod 2^64, by re-keying one generator: the counts are
     those ``sample_sequential`` gives the pair at that seed. The means and standard
-    errors of ``estimate_ev`` follow for all pairs at once. ``stderr`` is the
-    Frobenius standard error sqrt(sum_ab s_ab^2 / (c_A c_B)) of the expansion
-    over bases with Gram matrices c_A 1 and c_B 1.
+    errors of ``estimate_ev`` follow for all pairs at once. The pairs are independent, so
+    ``stderr``, the Frobenius standard error of the dual-frame expansion, is exactly
+    sqrt(sum_ab s_ab^2 (G_A^-1)_aa (G_B^-1)_bb): sqrt(sum_ab s_ab^2 / (c_A c_B)) if orthogonal.
     """
     _check_shots(shots_per_pair)
     _check_seed(seed)
@@ -168,9 +169,10 @@ def estimate_pdm(process: Process, basis_A, basis_B, shots_per_pair: int,
     means = _row_sums(counts * products, sizes) / n
     # One shot leaves every deviation at exactly 0, so dividing by 1 keeps var at 0.
     var = _row_sums(counts * (products - means[:, None]) ** 2, sizes) / max(n - 1, 1)
+    shape = (len(basis_A), len(basis_B))
     sot = pdm_from_correlations(process.dim_in, process.dim_out, basis_A, basis_B,
-                                means.reshape(len(basis_A), len(basis_B)))
-    # sqrt(c_A c_B): the bases passed the common-norm check of pdm_from_correlations.
-    scale = np.linalg.norm(basis_A[0].matrix) * np.linalg.norm(basis_B[0].matrix)
-    stderr = float(np.sqrt(var.sum() / n)) / scale
+                                means.reshape(shape))
+    # ||A~_a||^2 = (G_A^-1)_aa; pdm_from_correlations checked that both G are invertible.
+    w_A, w_B = (np.diagonal(np.linalg.inv(gram_matrix(b))) for b in (basis_A, basis_B))
+    stderr = float(np.sqrt(w_A @ var.reshape(shape) @ w_B / n))
     return replace(sot, provenance="sampled", stderr=stderr)

@@ -14,23 +14,22 @@ import numpy as np
 
 from .channels import Process, identity_channel
 from .errors import (
-    BasisNotOrthogonal,
     DimensionMismatch,
     InvalidParameter,
     IsLightTouch,
     NotLightTouch,
 )
-from .linalg import CLUSTER_RTOL, COUNTEREXAMPLE_RTOL, GRAM_RTOL
-from .observables import Observable, gram_matrix, hermitian_basis
-from .twotime import _frames, _stack, _values, trace_grid, two_time_grid
+from .linalg import CLUSTER_RTOL, COUNTEREXAMPLE_RTOL
+from .observables import Observable, hermitian_basis
+from .twotime import _dual_frame, _frames, _values, trace_grid, two_time_grid
 
 
 @dataclass(frozen=True)
 class StateOverTime:
     """Hermitian unit-trace operator on A (x) B with a provenance tag.
 
-    ``condition`` is cond(G) of the first-time observables an expansion used:
-    how far it can amplify errors in the correlation data (None: closed form).
+    ``condition`` is cond(G_A) cond(G_B) of the observable bases an expansion used,
+    about 1 if orthogonal: how far it can amplify errors in the data (None: closed form).
     ``stderr`` is the Frobenius standard error of a sampled estimate (None:
     not sampled).
     """
@@ -76,41 +75,28 @@ def _expand(values: np.ndarray, dual: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def pdm_from_correlations(dimA: int, dimB: int, basis_A, basis_B, evs) -> StateOverTime:
-    """Expand correlation data over orthogonal observable bases.
+    """Expand correlation data over the dual frames of two observable bases.
 
     ``evs[a][b]`` is the two-time expectation value of (basis_A[a], basis_B[b]).
-    basis_A must consist of light-touch observables with Gram matrix c_A * 1,
-    basis_B of hermitian observables with Gram matrix c_B * 1; the result is
-    sum_ab evs[a][b] A_a (x) B_b / (c_A c_B), with condition number 1.
+    basis_A must be dimA^2 independent light-touch observables, basis_B dimB^2
+    independent hermitian ones. The result, the one operator whose trace pairings
+    reproduce the data, is sum_ab evs[a][b] A~_a (x) B~_b over the dual frames
+    A~ = G_A^-1 A and B~ = G_B^-1 B (A / c_A and B / c_B for orthogonal bases).
     """
     if not len(basis_A) or not len(basis_B):
         raise DimensionMismatch("both observable bases must be nonempty")
     evs = np.asarray(evs, dtype=float)
     if evs.shape != (len(basis_A), len(basis_B)):
         raise DimensionMismatch(f"evs shape {evs.shape} != ({len(basis_A)}, {len(basis_B)})")
+    if (len(basis_A), len(basis_B)) != (dimA * dimA, dimB * dimB):
+        raise DimensionMismatch(f"complete bases need {dimA * dimA} and {dimB * dimB} "
+                                f"observables, got {len(basis_A)} and {len(basis_B)}")
     if not all(obs.is_light_touch for obs in basis_A):
         raise NotLightTouch("basis_A contains a non-light-touch element")
-    A = _stack(basis_A, dimA, "basis_A", "dimA")
-    B = _stack(basis_B, dimB, "basis_B", "dimB")
-    X = _expand(evs, A / _uniform_gram_norm(basis_A), B / _uniform_gram_norm(basis_B))
-    return StateOverTime(matrix=X, dimA=dimA, dimB=dimB, provenance="reconstructed",
-                         condition=1.0)
-
-
-def _uniform_gram_norm(basis) -> float:
-    """The common squared norm c of an orthogonal basis, checked to GRAM_RTOL c."""
-    G = gram_matrix(basis)
-    norms = np.diagonal(G)
-    tol = GRAM_RTOL * norms.max()
-    if tol == 0.0:
-        raise BasisNotOrthogonal("basis elements have zero norm")
-    off = np.abs(G - np.diag(norms)) > tol
-    if off.any():
-        a, b = np.argwhere(off)[0]
-        raise BasisNotOrthogonal(f"off-diagonal Gram entry {G[a, b]:.3e} at ({a}, {b})")
-    if np.ptp(norms) > tol:
-        raise BasisNotOrthogonal("basis elements do not share a common norm")
-    return float(norms.mean())
+    dual_A, cond_A = _dual_frame(basis_A, dimA)
+    dual_B, cond_B = _dual_frame(basis_B, dimB)
+    return StateOverTime(matrix=_expand(evs, dual_A, dual_B), dimA=dimA, dimB=dimB,
+                         provenance="reconstructed", condition=cond_A * cond_B)
 
 
 def reconstruct_unique(process: Process) -> StateOverTime:

@@ -16,7 +16,7 @@ import numpy as np
 from .channels import Process, isometry_embed, random_hermitian
 from .errors import DimensionMismatch, InvalidParameter, NumericalFailure, SingularSystem
 from .linalg import PROB_NEG_LIMIT, PROB_SUM_TOL
-from .observables import Observable, gram_matrix, hermitian_basis, light_touch_spanning_set
+from .observables import Observable, hermitian_basis, light_touch_spanning_set
 
 
 @dataclass(frozen=True)
@@ -198,13 +198,17 @@ def representability_residual(process: Process, X, probes) -> float:
 
 
 def _dual_frame(observables, dim: int) -> tuple:
-    """The dual frame G^-1 A of hermitian observables A_a with Gram matrix G, and cond(G)."""
-    G = gram_matrix(observables)
+    """The dual frame G^-1 A of hermitian observables A_a with Gram matrix G, and cond(G).
+
+    G comes from the same stack as the solve; a singular G raises SingularSystem.
+    """
+    A = _stack(observables, dim, "frame element", "dimension")
+    flat = A.reshape(len(A), -1)
+    G = (flat.conj() @ flat.T).real
     s = np.linalg.svd(G, compute_uv=False)
     if s[-1] <= s[0] * len(s) * np.finfo(float).eps:  # NumPy's matrix_rank tolerance
         raise SingularSystem(f"Gram matrix singular values {s[0]:.3e} .. {s[-1]:.3e}")
-    A = _stack(observables, dim, "frame element", "dimension")
-    return np.linalg.solve(G, A.reshape(len(A), -1)).reshape(A.shape), float(s[0] / s[-1])
+    return np.linalg.solve(G, flat).reshape(A.shape), float(s[0] / s[-1])
 
 
 @functools.lru_cache(maxsize=16)

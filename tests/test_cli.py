@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -189,7 +190,8 @@ def test_condition_number_only_for_expansions(tmp_path):
         payloads[" ".join(argv)] = io.load_document(str(out), expect_kind="sot")[1]
     assert "condition_number" not in payloads["sot"]
     assert payloads["pdm-reconstruct"]["condition_number"] == pytest.approx(15.5741, rel=1e-5)
-    assert payloads["pdm-reconstruct --shots 10"]["condition_number"] == 1.0
+    sampled = payloads["pdm-reconstruct --shots 10"]
+    assert sampled["condition_number"] == pytest.approx(1.0, abs=1e-12)
     assert "condition_number" not in io.sot_doc(canonical_sot(qutrit_process()))["payload"]
     rec = reconstruct_unique(qutrit_process())
     assert io.sot_doc(rec)["payload"]["condition_number"] == rec.condition
@@ -226,12 +228,29 @@ def test_pdm_reconstruct_one_dimensional_negativity_is_positive_zero(tmp_path, c
     assert "-0.0" not in out
 
 
-def test_pdm_reconstruct_sampled_without_basis_exits_3(tmp_path, capsys):
-    rng = np.random.default_rng(5)
-    proc_file = write_process(tmp_path, random_process(5, 2, rng))
-    assert main(["pdm-reconstruct", proc_file, "--shots", "10"]) == 3
-    err = capsys.readouterr().err
-    assert "dimension 5" in err and "--shots" in err
+def test_pdm_reconstruct_sampled_over_the_spanning_set(tmp_path):
+    # No orthogonal light-touch basis is known at d = 5: --shots expands over the spanning set.
+    process = random_process(5, 2, np.random.default_rng(5))
+    proc_file = write_process(tmp_path, process)
+    out = tmp_path / "pdm.json"
+    assert main(["pdm-reconstruct", proc_file, "--shots", "10", "--out", str(out)]) == 0
+    _, payload = io.load_document(str(out), expect_kind="sot")
+    assert payload["provenance"] == "sampled"
+    assert payload["condition_number"] == pytest.approx(reconstruct_unique(process).condition,
+                                                        rel=1e-12)
+    M = io.matrix_from_json(payload["matrix"])
+    assert np.linalg.norm(M - canonical_sot(process).matrix) <= 3 * payload["stderr_frobenius"]
+
+
+def test_sample_with_overflowing_outcome_products_exits_3(tmp_path, capsys):
+    proc_file = write_process(tmp_path, random_process(3, 3, np.random.default_rng(6)))
+    big = write_observable(tmp_path, 1e200 * np.diag([1.0, -1.0, 0.5]), "big.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["sample", proc_file, big, big, "--shots", "100"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and "overflow" in err
 
 
 def test_document_roundtrip(tmp_path):

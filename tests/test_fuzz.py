@@ -1,6 +1,6 @@
 """Fuzzing of the JSON document parsers through the command line.
 
-Each document starts as a valid process or observable of dimension 1..3 and
+Each document starts as a valid process or observable of dimension 1..6 and
 has up to two nodes of its JSON tree replaced or deleted: by ragged,
 non-numeric, NaN or empty matrices, by values of the wrong type, or by
 matrices of another dimension. Every command must end in exit code 0, 2
@@ -13,7 +13,7 @@ import os
 import tempfile
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qsot import Observable, Process, io, random_channel, random_density, random_hermitian
@@ -69,7 +69,7 @@ def mutated(draw, doc):
 @st.composite
 def process_docs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dA, dB = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    dA, dB = draw(st.integers(1, 6)), draw(st.integers(1, 6))
     process = Process(random_channel(dA, dB, rng), random_density(dA, rng))
     return draw(mutated(io.process_doc(process)))
 
@@ -77,7 +77,7 @@ def process_docs(draw):
 @st.composite
 def observable_docs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    obs = Observable(random_hermitian(draw(st.integers(1, 3)), rng))
+    obs = Observable(random_hermitian(draw(st.integers(1, 6)), rng))
     return draw(mutated(io.observable_doc(obs)))
 
 
@@ -104,6 +104,9 @@ def test_fuzz_sot(doc):
 
 @FUZZ
 @given(doc=process_docs(), shots=st.one_of(st.none(), shots))
+# An intact document at d = 5, where --shots expands over the light-touch spanning set.
+@example(doc=io.process_doc(Process(random_channel(5, 6, np.random.default_rng(0)),
+                                    random_density(5, np.random.default_rng(1)))), shots="5")
 def test_fuzz_pdm_reconstruct(doc, shots):
     run("pdm-reconstruct", [doc], *([] if shots is None else ["--shots", shots]))
 

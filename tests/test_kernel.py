@@ -130,24 +130,28 @@ def ref_canonical_sot(process):
     return 0.5 * (lifted @ J + J @ lifted)
 
 
-def ref_estimate_pdm(process, basis_A, basis_B, shots, seed):
-    """One sample_sequential and one estimate_ev per basis pair, with the pair's own seed.
-
-    Returns the expanded matrix and the Frobenius standard error
-    sqrt(sum_ab s_ab^2 / (c_A c_B)).
+def ref_pair_estimates(process, basis_A, basis_B, shots, seed):
+    """Per-pair means and standard errors: one sample_sequential and one estimate_ev per
+    basis pair, with the pair's own seed.
     """
-    means = np.zeros((len(basis_A), len(basis_B)))
-    sq_errors = 0.0
+    means, stderrs = np.zeros((2, len(basis_A), len(basis_B)))
     for a, A in enumerate(basis_A):
         for b, B in enumerate(basis_B):
             pair_seed = (seed * 0x9E3779B9 + a * len(basis_B) + b) & 0xFFFFFFFFFFFFFFFF
             record = sample_sequential(process, A, B, shots, pair_seed)
-            means[a, b], stderr = estimate_ev(record, A.spectral.eigenvalues,
-                                              B.spectral.eigenvalues)
-            sq_errors += stderr ** 2
+            means[a, b], stderrs[a, b] = estimate_ev(record, A.spectral.eigenvalues,
+                                                     B.spectral.eigenvalues)
+    return means, stderrs
+
+
+def ref_estimate_pdm(process, basis_A, basis_B, shots, seed):
+    """The expanded per-pair means and the Frobenius standard error sqrt(sum_ab s_ab^2 /
+    (c_A c_B)) of orthogonal bases with Gram matrices c_A 1 and c_B 1.
+    """
+    means, stderrs = ref_pair_estimates(process, basis_A, basis_B, shots, seed)
     sot = pdm_from_correlations(process.dim_in, process.dim_out, basis_A, basis_B, means)
     c_AB = gram_matrix(basis_A[:1])[0, 0] * gram_matrix(basis_B[:1])[0, 0]
-    return sot.matrix, np.sqrt(sq_errors / c_AB)
+    return sot.matrix, np.sqrt((stderrs ** 2).sum() / c_AB)
 
 
 # ------------------------------------------------------------ instances
@@ -220,6 +224,23 @@ def orthogonal_basis(rng, d, generic):
     return rotated(rng, list(mats))
 
 
+FRAMES = ("spanning", "rotated spanning", "orthogonal", "random light-touch")
+
+
+def light_touch_frame(rng, d, kind):
+    """A complete light-touch frame of d x d hermitian matrices; "orthogonal" needs d in 1..4."""
+    if kind == "orthogonal":
+        return light_touch_basis(rng, d)
+    spanning = light_touch_spanning_set(d)
+    if kind == "spanning":
+        return spanning
+    if kind == "rotated spanning" or d == 1:
+        return rotated(rng, [L.matrix for L in spanning])
+    # A scaled identity and d^2 - 1 random dichotomous observables: independent almost surely.
+    return [Observable(rng.uniform(0.5, 2.0) * np.eye(d))] + [
+        make_observable(rng, d, "light-touch") for _ in range(d * d - 1)]
+
+
 seeds = st.integers(0, 2**32 - 1)
 dims = st.integers(2, 5)
 ranks = st.integers(1, 5)
@@ -284,8 +305,26 @@ def test_estimate_pdm_matches_per_pair_loop(seed, dA, dB, rank, generic, shots, 
     est = estimate_pdm(process, basis_A, basis_B, shots, pdm_seed)
     matrix, stderr = ref_estimate_pdm(process, basis_A, basis_B, shots, pdm_seed)
     assert np.array_equal(est.matrix, matrix)
-    assert abs(est.stderr - stderr) <= TOL * max(1.0, stderr)
-    assert est.provenance == "sampled" and est.condition == 1.0
+    assert abs(est.stderr - stderr) <= TOL * stderr
+    assert est.provenance == "sampled" and est.condition == pytest.approx(1.0, abs=1e-12)
+
+
+@FAST
+@given(seed=seeds, dA=st.integers(1, 4), dB=st.integers(1, 4), shots=st.integers(2, 10**5),
+       pdm_seed=st.integers(0, 2**64 - 1))
+def test_estimate_pdm_over_spanning_sets_matches_per_pair_loop(seed, dA, dB, shots, pdm_seed):
+    # Neither basis is orthogonal: each pair's variance reaches the Frobenius error
+    # through the squared norms (G^-1)_aa and (G^-1)_bb of the dual frame elements.
+    process = make_process(np.random.default_rng(seed), dA, dB, dA)
+    basis_A, basis_B = light_touch_spanning_set(dA), light_touch_spanning_set(dB)
+    est = estimate_pdm(process, basis_A, basis_B, shots, pdm_seed)
+    means, stderrs = ref_pair_estimates(process, basis_A, basis_B, shots, pdm_seed)
+    inv_A, inv_B = np.linalg.inv(gram_matrix(basis_A)), np.linalg.inv(gram_matrix(basis_B))
+    variance = sum(stderrs[a, b] ** 2 * inv_A[a, a] * inv_B[b, b]
+                   for a in range(dA * dA) for b in range(dB * dB))
+    assert np.array_equal(est.matrix, pdm_from_correlations(dA, dB, basis_A, basis_B,
+                                                            means).matrix)
+    assert abs(est.stderr - np.sqrt(variance)) <= TOL * np.sqrt(variance)
 
 
 def test_estimate_pdm_rejects_empty_and_wrong_dimension_bases():
@@ -305,6 +344,41 @@ def test_estimate_pdm_names_the_pair_that_does_not_sum_to_one(monkeypatch):
     monkeypatch.setattr(sampler, "_joint_table", lambda *args: (table, starts_A, starts_B))
     with pytest.raises(NumericalFailure, match=r"pair \(2, 1\) sums to 1\.00000"):
         estimate_pdm(process, basis, basis, 10, seed=1)
+
+
+# ------------------------------------------------------------ uniqueness over any frame
+
+def assert_expansion_is_canonical(process, basis_A, basis_B):
+    """The dual-frame expansion of exact data equals the canonical state over time.
+
+    The expansion amplifies roundoff in the data by at most cond(G_A) cond(G_B); the
+    factor 4 covers the few roundings of each grid value and of the expansion itself.
+    """
+    dA, dB = process.dim_in, process.dim_out
+    sot = pdm_from_correlations(dA, dB, basis_A, basis_B,
+                                two_time_grid(process, basis_A, basis_B))
+    X = canonical_sot(process).matrix
+    tol = 4 * sot.condition * dA * dB * np.finfo(float).eps * np.linalg.norm(X)
+    assert np.abs(sot.matrix - X).max() <= tol
+
+
+@settings(FAST, max_examples=100)
+@given(seed=seeds, dA=st.integers(1, 4), dB=st.integers(1, 4), rank=ranks,
+       kind_A=st.sampled_from(FRAMES), kind_B=st.sampled_from(FRAMES))
+def test_every_complete_frame_gives_the_canonical_sot(seed, dA, dB, rank, kind_A, kind_B):
+    rng = np.random.default_rng(seed)
+    process = make_process(rng, dA, dB, rank)
+    assert_expansion_is_canonical(process, light_touch_frame(rng, dA, kind_A),
+                                  light_touch_frame(rng, dB, kind_B))
+
+
+@pytest.mark.parametrize("dA,dB", [(5, 2), (6, 2), (2, 5), (5, 3)])
+def test_every_complete_frame_gives_the_canonical_sot_at_larger_d(dA, dB):
+    rng = np.random.default_rng(10 * dA + dB)
+    process = make_process(rng, dA, dB, dA)
+    for kind in FRAMES[:2] + FRAMES[3:]:
+        assert_expansion_is_canonical(process, light_touch_frame(rng, dA, kind),
+                                      light_touch_frame(rng, dB, kind))
 
 
 # ------------------------------------------------------------ trace side

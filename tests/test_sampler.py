@@ -16,6 +16,7 @@ from qsot import (
     identity_channel,
     joint_distribution,
     light_touch_basis_qutrit,
+    light_touch_spanning_set,
     pauli_basis,
     pdm_from_correlations,
     random_process,
@@ -136,11 +137,12 @@ def test_estimate_pdm_converges():
     assert dist < 0.05
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 5])
 def test_frobenius_stderr_covers_the_error(d):
     rng = np.random.default_rng(10 + d)
     proc = random_process(d, d, rng)
-    basis_A = pauli_basis(1) if d == 2 else light_touch_basis_qutrit(sic_povm(sic_fiducial_w(0.0)))
+    basis_A = {2: pauli_basis(1), 3: light_touch_basis_qutrit(sic_povm(sic_fiducial_w(0.0))),
+               5: light_touch_spanning_set(5)}[d]  # the last is not orthogonal
     basis_B = hermitian_basis(d)
     exact = canonical_sot(proc).matrix
     covered = 0

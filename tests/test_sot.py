@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qsot import (
-    BasisNotOrthogonal,
     DimensionMismatch,
     IsLightTouch,
     NotLightTouch,
@@ -120,13 +119,28 @@ def test_pdm_from_correlations_rejects_bad_bases():
         pdm_from_correlations(
             2, 2, [Observable(np.diag([2.0, 1.0]))] * 4, basis, np.zeros((4, 4))
         )
-    skew = light_touch_spanning_set(3)  # light-touch but not orthogonal
-    with pytest.raises(BasisNotOrthogonal):
-        pdm_from_correlations(3, 2, skew, basis, np.zeros((9, 4)))
     zero, one = [Observable(np.zeros((1, 1)))], [Observable(np.eye(1))]
-    for basis_A, basis_B in ((zero, one), (one, zero)):  # a zero common norm, not NaN
-        with pytest.raises(BasisNotOrthogonal, match="zero norm"):
+    for basis_A, basis_B in ((zero, one), (one, zero)):  # a zero Gram matrix, not NaN
+        with pytest.raises(SingularSystem):
             pdm_from_correlations(1, 1, basis_A, basis_B, [[1.0]])
+    # A skew basis is accepted: its dual frame reproduces the canonical state.
+    proc = random_process(3, 2, np.random.default_rng(8))
+    skew = light_touch_spanning_set(3)  # light-touch but not orthogonal
+    evs = np.array([[two_time_ev(proc, A, B) for B in basis] for A in skew])
+    sot = pdm_from_correlations(3, 2, skew, basis, evs)
+    assert np.abs(sot.matrix - canonical_sot(proc).matrix).max() <= 1e-12
+    assert sot.condition == pytest.approx(reconstruct_unique(proc).condition, rel=1e-12)
+
+
+def test_pdm_from_correlations_and_estimate_pdm_reject_incomplete_bases():
+    proc = random_process(2, 2, np.random.default_rng(9))
+    basis = pauli_basis(1)
+    for basis_A, basis_B in ((basis[:3], basis), (basis, basis[:3])):
+        evs = np.zeros((len(basis_A), len(basis_B)))
+        with pytest.raises(DimensionMismatch, match="need 4 and 4 observables, got"):
+            pdm_from_correlations(2, 2, basis_A, basis_B, evs)
+        with pytest.raises(DimensionMismatch, match="need 4 and 4 observables, got"):
+            estimate_pdm(proc, basis_A, basis_B, 10, seed=1)
 
 
 def test_reconstruct_unique_matches_closed_form():
@@ -149,8 +163,9 @@ def test_condition_numbers():
     proc = random_process(2, 2, rng)
     basis = pauli_basis(1)
     evs = np.array([[two_time_ev(proc, A, B) for B in basis] for A in basis])
-    assert pdm_from_correlations(2, 2, basis, basis, evs).condition == 1.0
-    assert estimate_pdm(proc, basis, basis, 10, seed=1).condition == 1.0
+    one = pytest.approx(1.0, abs=1e-12)
+    assert pdm_from_correlations(2, 2, basis, basis, evs).condition == one
+    assert estimate_pdm(proc, basis, basis, 10, seed=1).condition == one
     assert canonical_sot(proc).condition is None
     assert reconstruct_unique(proc).condition == pytest.approx(1.0, abs=1e-12)
     rec = reconstruct_unique(random_process(4, 2, rng))

@@ -5,19 +5,21 @@ rescaling of it, so the scale tests draw s log-uniformly from [1e-12, 1e6] and
 pin both ends. Absolute thresholds are probed at half and at twice their value.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsot import (
-    BasisNotOrthogonal,
     InvalidParameter,
     NotHermitian,
     Observable,
     ParameterOutOfRange,
     Process,
     QuantumChannel,
+    canonical_sot,
     classify_light_touch,
     hermitian_basis,
     identity_channel,
@@ -29,7 +31,7 @@ from qsot import (
     sic_povm,
     two_time_grid,
 )
-from qsot.linalg import CLUSTER_RTOL, DENSITY_TOL, SIC_ANGLE_TOL, TP_TOL
+from qsot.linalg import CLUSTER_RTOL, DENSITY_TOL, SIC_ANGLE_TOL, TP_TOL, check_hermitian
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True)
 EXPONENTS = st.floats(-12.0, 6.0)  # s = 10**exponent
@@ -88,17 +90,31 @@ def test_two_time_grid_is_linear_in_the_first_observables_scale(exponent, seed):
 @given(exponent=EXPONENTS)
 @example(exponent=-12.0)
 @example(exponent=6.0)
-def test_rescaled_spanning_set_is_not_orthogonal(exponent):
+def test_rescaled_spanning_set_gives_the_same_x(exponent):
     s = 10.0**exponent
+    process = random_process(3, 3, np.random.default_rng(2))
     basis_A = [Observable(s * L.matrix) for L in light_touch_spanning_set(3)]
-    with pytest.raises(BasisNotOrthogonal):
-        pdm_from_correlations(3, 3, basis_A, hermitian_basis(3), np.zeros((9, 9)))
+    basis_B = hermitian_basis(3)
+    evs = two_time_grid(process, basis_A, basis_B)
+    sot = pdm_from_correlations(3, 3, basis_A, basis_B, evs)
+    assert np.abs(sot.matrix - canonical_sot(process).matrix).max() <= 1e-12
+    assert sot.condition == pytest.approx(15.5741, rel=1e-5)
+
+
+def test_huge_hermitian_matrix_passes_without_warning():
+    M = 1e200 * np.diag([1.0, -1.0, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(check_hermitian(M), M)
+        assert Observable(M).spectral.eigenvalues.tolist() == [-1e200, 5e199, 1e200]
 
 
 @SETTINGS
 @given(exponent=EXPONENTS)
 @example(exponent=-12.0)
 @example(exponent=6.0)
+@example(exponent=200.0)  # both Frobenius norms overflow unless M is rescaled first
+@example(exponent=-200.0)  # both underflow to 0
 def test_rescaled_nilpotent_is_not_hermitian(exponent):
     with pytest.raises(NotHermitian):
         Observable(10.0**exponent * np.array([[0.0, 1.0], [0.0, 0.0]]))
