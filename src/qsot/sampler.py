@@ -1,14 +1,12 @@
 """Seeded simulation of the sequential measurement protocol.
 
 The counts of n shots over the outcome pairs (i, j) of the two measurements
-follow Multinomial(n, P(i, j)), with P(i, j) the exact joint distribution. One
-multinomial draw from one counter-based Philox stream keyed on the seed gives
-them, so counts are a pure function of (seed, shots). A stream is fixed by its
-key, and ``_philox_state`` is the one way the module keys one: a state of plain
-Python ints, set on a generator. ``estimate_pdm`` takes the joint distributions
-of all basis pairs from one batched table and re-keys one generator to each
-pair's own stream, which gives the counts of a fresh generator per pair, and
-expands the means over the dual frames of any complete bases.
+follow Multinomial(n, P(i, j)), with P(i, j) the exact joint distribution. They
+come from one counter-based Philox stream keyed on the seed, so counts are a
+pure function of (seed, shots). ``estimate_pdm`` takes the joint distributions
+of all basis pairs from one batched probability table, draws the counts of every
+pair in one multinomial call on that one stream, and expands the means over the
+dual frames of any complete bases.
 """
 
 from __future__ import annotations
@@ -20,8 +18,8 @@ import numpy as np
 from .channels import Process
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidParameter, NumericalFailure
 from .linalg import PROB_SUM_TOL
-from .observables import Observable, gram_matrix
-from .sot import StateOverTime, pdm_from_correlations
+from .observables import Observable
+from .sot import StateOverTime, _dual_expansion
 from .twotime import _joint_table, joint_distribution
 
 SEED_LIMIT = 1 << 64
@@ -50,27 +48,19 @@ def _check_shots(shots: int) -> None:
         raise InvalidParameter(f"shots must lie in [1, 2^63), got {shots}")
 
 
-def _philox_state(seed: int) -> dict:
-    """The Philox state at the start of the stream keyed [seed, 0]: counter 0, nothing buffered.
-
-    Plain Python ints, which the state setter casts to uint64 one by one, so
-    every seed in [0, 2^64) is exact; a list passed as ``Philox(key=...)``
-    goes through float64 from 2^63 on, and numpy arrays take three times as long.
-    """
-    return {"bit_generator": "Philox",
-            "state": {"counter": [0, 0, 0, 0], "key": [seed, 0]},
-            "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-
 def _rng(seed: int) -> np.random.Generator:
-    bit_generator = np.random.Philox(0)  # a fixed seed draws no OS entropy; the key replaces it
-    bit_generator.state = _philox_state(seed)
+    """The Philox stream keyed [seed, 0], from counter 0 with nothing buffered.
+
+    The state is set from plain Python ints, which numpy casts to uint64 one by
+    one, so every seed in [0, 2^64) is exact; a list passed as ``Philox(key=...)``
+    goes through float64 from 2^63 on. A fixed seed draws no OS entropy.
+    """
+    bit_generator = np.random.Philox(0)
+    bit_generator.state = {"bit_generator": "Philox",
+                           "state": {"counter": [0, 0, 0, 0], "key": [seed, 0]},
+                           "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
+                           "uinteger": 0}
     return np.random.Generator(bit_generator)
-
-
-def _rekey(gen: np.random.Generator, seed: int) -> None:
-    """Reset a Philox generator in place to the start of the stream ``_rng(seed)`` gives."""
-    gen.bit_generator.state = _philox_state(seed)
 
 
 def sample_sequential(process: Process, O_A: Observable, O_B: Observable,
@@ -125,13 +115,15 @@ def estimate_pdm(process: Process, basis_A, basis_B, shots_per_pair: int,
 
     Every pair (A_a, B_b) reads its joint distribution from one batched
     probability table over all eigenprojectors of both bases, and each block
-    is checked to sum to 1. Pair k = a len(basis_B) + b draws its counts as one
-    multinomial over exactly its cells from its own Philox stream, keyed on
-    (seed * 0x9E3779B9 + k) mod 2^64, by re-keying one generator: the counts are
-    those ``sample_sequential`` gives the pair at that seed. The means and standard
-    errors of ``estimate_ev`` follow for all pairs at once. The pairs are independent, so
-    ``stderr``, the Frobenius standard error of the dual-frame expansion, is exactly
-    sqrt(sum_ab s_ab^2 (G_A^-1)_aa (G_B^-1)_bb): sqrt(sum_ab s_ab^2 / (c_A c_B)) if orthogonal.
+    is checked to sum to 1. Pair k = a len(basis_B) + b is row k of one zero-padded
+    grid, and one multinomial call on the stream ``_rng(seed)`` draws every row.
+    numpy leaves a row's roundoff remainder in its last cell, which is padding for a
+    narrower pair; it is moved to the pair's last real cell, which is where a draw over
+    exactly the pair's cells puts it, so each pair's counts follow its own multinomial
+    law. The means and standard errors of ``estimate_ev`` follow for all pairs at once.
+    The pairs are independent, so ``stderr``, the Frobenius standard error of the
+    dual-frame expansion, is exactly sqrt(sum_ab s_ab^2 (G_A^-1)_aa (G_B^-1)_bb):
+    sqrt(sum_ab s_ab^2 / (c_A c_B)) if orthogonal.
     """
     _check_shots(shots_per_pair)
     _check_seed(seed)
@@ -155,24 +147,16 @@ def estimate_pdm(process: Process, basis_A, basis_B, shots_per_pair: int,
     if off.size:
         pair = divmod(int(off[0]), len(basis_B))
         raise NumericalFailure(f"joint distribution of pair {pair} sums to {totals[off[0]]}")
-    pvals = probs / totals[:, None]
-    gen = np.random.Generator(np.random.Philox(0))  # re-keyed before every draw
-    base = seed * 0x9E3779B9
-    draws = []
-    for k, size in enumerate(sizes.tolist()):
-        _rekey(gen, (base + k) & 0xFFFFFFFFFFFFFFFF)
-        draws.append(gen.multinomial(shots_per_pair, pvals[k, :size]))
-    counts = np.zeros(valid.shape, dtype=np.int64)
-    counts[valid] = np.concatenate(draws)
+    counts = _rng(seed).multinomial(shots_per_pair, probs / totals[:, None])
+    counts[np.arange(len(counts)), sizes - 1] += np.where(valid, 0, counts).sum(axis=1)
+    counts[~valid] = 0
 
     n = shots_per_pair
     means = _row_sums(counts * products, sizes) / n
     # One shot leaves every deviation at exactly 0, so dividing by 1 keeps var at 0.
     var = _row_sums(counts * (products - means[:, None]) ** 2, sizes) / max(n - 1, 1)
     shape = (len(basis_A), len(basis_B))
-    sot = pdm_from_correlations(process.dim_in, process.dim_out, basis_A, basis_B,
-                                means.reshape(shape))
-    # ||A~_a||^2 = (G_A^-1)_aa; pdm_from_correlations checked that both G are invertible.
-    w_A, w_B = (np.diagonal(np.linalg.inv(gram_matrix(b))) for b in (basis_A, basis_B))
+    sot, w_A, w_B = _dual_expansion(process.dim_in, process.dim_out, basis_A, basis_B,
+                                    means.reshape(shape))
     stderr = float(np.sqrt(w_A @ var.reshape(shape) @ w_B / n))
     return replace(sot, provenance="sampled", stderr=stderr)

@@ -83,6 +83,11 @@ def pdm_from_correlations(dimA: int, dimB: int, basis_A, basis_B, evs) -> StateO
     reproduce the data, is sum_ab evs[a][b] A~_a (x) B~_b over the dual frames
     A~ = G_A^-1 A and B~ = G_B^-1 B (A / c_A and B / c_B for orthogonal bases).
     """
+    return _dual_expansion(dimA, dimB, basis_A, basis_B, evs)[0]
+
+
+def _dual_expansion(dimA: int, dimB: int, basis_A, basis_B, evs) -> tuple:
+    """``pdm_from_correlations`` and the squared dual norms (G_A^-1)_aa and (G_B^-1)_bb."""
     if not len(basis_A) or not len(basis_B):
         raise DimensionMismatch("both observable bases must be nonempty")
     evs = np.asarray(evs, dtype=float)
@@ -93,10 +98,11 @@ def pdm_from_correlations(dimA: int, dimB: int, basis_A, basis_B, evs) -> StateO
                                 f"observables, got {len(basis_A)} and {len(basis_B)}")
     if not all(obs.is_light_touch for obs in basis_A):
         raise NotLightTouch("basis_A contains a non-light-touch element")
-    dual_A, cond_A = _dual_frame(basis_A, dimA)
-    dual_B, cond_B = _dual_frame(basis_B, dimB)
-    return StateOverTime(matrix=_expand(evs, dual_A, dual_B), dimA=dimA, dimB=dimB,
-                         provenance="reconstructed", condition=cond_A * cond_B)
+    dual_A, cond_A, norms_A = _dual_frame(basis_A, dimA)
+    dual_B, cond_B, norms_B = _dual_frame(basis_B, dimB)
+    sot = StateOverTime(matrix=_expand(evs, dual_A, dual_B), dimA=dimA, dimB=dimB,
+                        provenance="reconstructed", condition=cond_A * cond_B)
+    return sot, norms_A, norms_B
 
 
 def reconstruct_unique(process: Process) -> StateOverTime:

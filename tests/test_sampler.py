@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsot import (
@@ -27,7 +27,8 @@ from qsot import (
 )
 from qsot import sampler
 from qsot.observables import PAULI
-from qsot.sampler import _rekey, _rng
+from qsot.sampler import _rng
+from qsot.twotime import _joint_table
 
 
 def test_deterministic_outcome():
@@ -112,15 +113,38 @@ def test_qutrit_protocol_concentration():
     assert abs(mean - exact) <= 5 * max(stderr, 1e-12)
 
 
+def single_draw(process, basis_A, basis_B, shots, seed):
+    """Each pair's counts, as a (clusters A, clusters B) array, from one multinomial call.
+
+    The pairs' joint distributions are the blocks of one ``_joint_table``, as in
+    ``estimate_pdm``: a cell at exactly 0 there may hold roundoff in a table of one pair,
+    and a binomial draw at p = 0 takes nothing from the stream. Each block, normalized as
+    ``sample_sequential`` normalizes it, is zero-padded to a row of one grid; all rows are
+    drawn in one call on ``_rng(seed)``, and the counts a row leaves in its padding move to
+    the pair's last cell.
+    """
+    table, starts_A, starts_B = _joint_table(process, basis_A, basis_B)
+    probs = [table[starts_A[a]:starts_A[a + 1], starts_B[b]:starts_B[b + 1]]
+             for a in range(len(basis_A)) for b in range(len(basis_B))]
+    width = max(P.size for P in probs)
+    grid = np.array([np.pad(p / p.sum(), (0, width - p.size)) for p in map(np.ravel, probs)])
+    counts = []
+    for row, P in zip(_rng(seed).multinomial(shots, grid), probs):
+        row[P.size - 1] += row[P.size:].sum()
+        counts.append(row[:P.size].reshape(P.shape))
+    return counts
+
+
 def test_estimate_pdm_matches_direct_expansion():
     rng = np.random.default_rng(4)
     proc = random_process(2, 2, rng)
-    basis = pauli_basis(1)
+    basis = pauli_basis(1)  # 1, 2 and 4 cells per pair: the grid is padded
     seed, shots = 5, 1000
+    counts = iter(single_draw(proc, basis, basis, shots, seed))
     evs = np.zeros((4, 4))
     for a, A in enumerate(basis):
         for b, B in enumerate(basis):
-            record = sample_sequential(proc, A, B, shots, seed * 0x9E3779B9 + 4 * a + b)
+            record = ShotRecord(counts=next(counts), shots=shots, seed=seed)
             evs[a, b] = estimate_ev(record, A.spectral.eigenvalues, B.spectral.eigenvalues)[0]
     sot = estimate_pdm(proc, basis, basis, shots, seed=seed)
     direct = pdm_from_correlations(2, 2, basis, basis, evs)
@@ -189,23 +213,27 @@ def test_shard_streams_below_2_pow_63_unchanged():
         assert np.array_equal(_rng(seed).random(4), legacy)
 
 
-def test_estimate_pdm_pair_streams_distinct_at_large_seed(monkeypatch):
-    rng = np.random.default_rng(6)
-    proc = random_process(2, 2, rng)
+def test_estimate_pdm_pair_streams_distinct_at_large_seed():
+    # Under the identity channel on the maximally mixed state, the six pairs of distinct
+    # Paulis share one uniform joint distribution; each draws its own part of the stream.
+    proc = Process(identity_channel(2), np.eye(2) / 2)
     basis = pauli_basis(1)
-    streams = []
+    shots = 1000
+    uniform = [4 * a + b for a in range(1, 4) for b in range(1, 4) if a != b]
+    estimates = {}
+    for seed in (0, 4_000_000_000, 2**63, 2**64 - 1):
+        counts = single_draw(proc, basis, basis, shots, seed)
+        assert len({tuple(counts[k].ravel().tolist()) for k in uniform}) == len(uniform)
+        evs = [[estimate_ev(ShotRecord(counts=C, shots=shots, seed=seed),
+                            A.spectral.eigenvalues, B.spectral.eigenvalues)[0]
+                for B, C in zip(basis, counts[4 * a:4 * a + 4])] for a, A in enumerate(basis)]
+        sot = estimate_pdm(proc, basis, basis, shots, seed=seed)
+        assert np.array_equal(sot.matrix, pdm_from_correlations(2, 2, basis, basis, evs).matrix)
+        estimates[seed] = sot.matrix.tobytes()
+    assert len(set(estimates.values())) == len(estimates)
 
-    def record_stream(gen, seed):
-        streams.append(tuple(_rng(seed).random(4)))
-        _rekey(gen, seed)
 
-    monkeypatch.setattr(sampler, "_rekey", record_stream)
-    estimate_pdm(proc, basis, basis, 1, seed=4_000_000_000)
-    assert len(streams) == 16
-    assert len(set(streams)) == 16
-
-
-REKEY_SEEDS = (0, 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1)
+STREAM_SEEDS = (0, 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1)
 # _rng(seed).multinomial(1000, [0.1, 0.2, 0.3, 0.4]), recorded while the key was still
 # set from numpy uint64 arrays: the streams are pinned by value, not only against _rng.
 PINNED_COUNTS = {
@@ -218,64 +246,20 @@ PINNED_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("seed", REKEY_SEEDS)
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
 def test_streams_give_the_pinned_counts(seed):
-    probs = [0.1, 0.2, 0.3, 0.4]
-    assert _rng(seed).multinomial(1000, probs).tolist() == PINNED_COUNTS[seed]
-    gen = _rng(3)
-    gen.random(3)
-    _rekey(gen, seed)
-    assert gen.multinomial(1000, probs).tolist() == PINNED_COUNTS[seed]
+    assert _rng(seed).multinomial(1000, [0.1, 0.2, 0.3, 0.4]).tolist() == PINNED_COUNTS[seed]
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), start=st.integers(0, 2**64 - 1),
-       used=st.lists(st.sampled_from(["uint32", "uint64", "double"]), max_size=6))
-def test_rekey_after_any_use_equals_a_fresh_stream(seed, start, used):
-    gen = _rng(start)
-    for kind in used:  # leaves a cached 32-bit half, a partly read buffer, or both
-        if kind == "double":
-            gen.random()
-        else:
-            gen.integers(0, 2**32 if kind == "uint32" else 2**64,
-                         dtype=np.uint32 if kind == "uint32" else np.uint64)
-    # The second reference keys Philox from a uint64 array, apart from _philox_state.
-    keyed = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    for fresh in (_rng(seed), np.random.Generator(keyed)):
-        _rekey(gen, seed)
-        assert gen.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == \
-            fresh.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
-        assert np.array_equal(gen.multinomial(10**5, [0.5, 0.25, 0.25]),
-                              fresh.multinomial(10**5, [0.5, 0.25, 0.25]))
-
-
-@pytest.mark.parametrize("seed", REKEY_SEEDS)
-def test_rekeyed_stream_equals_fresh_stream(seed):
-    probs = np.array([0.1, 0.2, 0.3, 0.4])
-    gen = _rng(12345)
-    _rekey(gen, seed)
-    assert np.array_equal(gen.random(4), _rng(seed).random(4))
-    _rekey(gen, seed)
-    assert np.array_equal(gen.multinomial(1000, probs), _rng(seed).multinomial(1000, probs))
-
-
-@pytest.mark.parametrize("seed", REKEY_SEEDS)
-@pytest.mark.parametrize("half_used", [
-    lambda g: g.integers(0, 2**32, size=1, dtype=np.uint32),
-    lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
-    lambda g: g.random(3),
-], ids=["uint32x1", "uint32x3", "random3"])
-def test_rekey_leaves_nothing_of_a_half_used_stream(seed, half_used):
-    # An odd number of 32-bit draws leaves has_uint32 set; random(3) leaves
-    # the Philox buffer partly read.
-    gen = _rng(7)
-    half_used(gen)
-    _rekey(gen, seed)
-    assert np.array_equal(gen.random(4), _rng(seed).random(4))
-    half_used(gen)
-    _rekey(gen, seed)
-    assert np.array_equal(gen.integers(0, 2**32, size=5, dtype=np.uint32),
-                          _rng(seed).integers(0, 2**32, size=5, dtype=np.uint32))
+@given(seed=st.integers(0, 2**64 - 1))
+def test_rng_is_the_philox_stream_keyed_on_the_seed(seed):
+    keyed = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    gen = _rng(seed)
+    assert gen.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == \
+        keyed.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
+    assert np.array_equal(gen.multinomial(10**5, [0.5, 0.25, 0.25]),
+                          keyed.multinomial(10**5, [0.5, 0.25, 0.25]))
 
 
 def test_estimate_pdm_builds_one_philox(monkeypatch):
@@ -291,6 +275,42 @@ def test_estimate_pdm_builds_one_philox(monkeypatch):
     sot = estimate_pdm(proc, pauli_basis(2), hermitian_basis(4), 100, seed=3)
     assert len(built) == 1
     assert sot.provenance == "sampled"
+
+
+class RecordingGenerator:
+    """A generator that keeps every array its ``multinomial`` returns."""
+
+    def __init__(self, gen, drawn):
+        self.gen, self.drawn = gen, drawn
+
+    def multinomial(self, n, pvals):
+        self.drawn.append(self.gen.multinomial(n, pvals))
+        return self.drawn[-1]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(d=st.sampled_from([2, 3, 5]), shots=st.sampled_from([1, 10**5, 2**62]),
+       seed=st.integers(0, 2**64 - 1), process_seed=st.integers(0, 2**32 - 1))
+@example(d=5, shots=2**62, seed=0, process_seed=0)
+def test_estimate_pdm_leaves_no_count_in_padding(d, shots, seed, process_seed):
+    # The spanning set holds the identity (one cluster) and dichotomies (two); hermitian_basis
+    # holds two- and, from d = 3 on, three-cluster elements: pairs of 1 to 6 cells. At 2^62
+    # shots numpy leaves roundoff remainders of hundreds of counts in a row's last cell.
+    process = random_process(d, d, np.random.default_rng(process_seed))
+    basis_A, basis_B = light_touch_spanning_set(d), hermitian_basis(d)
+    sizes = [len(A.spectral.eigenvalues) * len(B.spectral.eigenvalues)
+             for A in basis_A for B in basis_B]
+    assert min(sizes) == 2 and len(set(sizes)) > 1 + (d > 2)
+    drawn = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "_rng", lambda key: RecordingGenerator(_rng(key), drawn))
+        sot = estimate_pdm(process, basis_A, basis_B, shots, seed)
+    (counts,) = drawn  # estimate_pdm moves the padding counts in place
+    assert np.all(counts.sum(axis=1) == shots)
+    assert all(not row[n:].any() for row, n in zip(counts, sizes))
+    if shots == 2**62:
+        # E ||X^ - X||^2 = stderr^2 exactly: 60 such calls gave ratios 0.76 to 1.24, median 1.03.
+        assert np.linalg.norm(sot.matrix - canonical_sot(process).matrix) <= 3 * sot.stderr
 
 
 def test_shots_range():

@@ -25,6 +25,7 @@ from qsot import (
     identity_channel,
     light_touch_spanning_set,
     maximality_counterexample,
+    pauli_basis,
     pdm_from_correlations,
     random_process,
     sic_fiducial_v,
@@ -99,6 +100,23 @@ def test_rescaled_spanning_set_gives_the_same_x(exponent):
     sot = pdm_from_correlations(3, 3, basis_A, basis_B, evs)
     assert np.abs(sot.matrix - canonical_sot(process).matrix).max() <= 1e-12
     assert sot.condition == pytest.approx(15.5741, rel=1e-5)
+
+
+@pytest.mark.parametrize("s", [1e200, 1e-200])
+def test_frame_at_the_ends_of_the_float_range_gives_the_same_x(s):
+    # G = s^2 G_1 would over- or underflow: the frame is scaled by a power of 2 first.
+    process = random_process(2, 2, np.random.default_rng(3))
+    basis = pauli_basis(1)
+    evs = two_time_grid(process, basis, basis)
+    unscaled = pdm_from_correlations(2, 2, basis, basis, evs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sot = pdm_from_correlations(2, 2, [Observable(s * P.matrix) for P in basis], basis,
+                                    s * evs)
+    X = canonical_sot(process).matrix
+    assert np.abs(sot.matrix - X).max() <= 4 * sot.condition * 4 * np.finfo(float).eps * \
+        np.linalg.norm(X)
+    assert sot.condition == pytest.approx(unscaled.condition, rel=1e-12)  # s * P rounds
 
 
 def test_huge_hermitian_matrix_passes_without_warning():
