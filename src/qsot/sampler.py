@@ -48,19 +48,25 @@ def _check_shots(shots: int) -> None:
         raise InvalidParameter(f"shots must lie in [1, 2^63), got {shots}")
 
 
-def _rng(seed: int) -> np.random.Generator:
-    """The Philox stream keyed [seed, 0], from counter 0 with nothing buffered.
+def _rekey(gen: np.random.Generator, seed: int) -> None:
+    """Reset a Philox generator in place to the stream keyed [seed, 0].
 
-    The state is set from plain Python ints, which numpy casts to uint64 one by
-    one, so every seed in [0, 2^64) is exact; a list passed as ``Philox(key=...)``
-    goes through float64 from 2^63 on. A fixed seed draws no OS entropy.
+    Counter 0, nothing buffered and no cached 32-bit half, so nothing of what the
+    generator drew before is left. The state is set from plain Python ints, which
+    numpy casts to uint64 one by one, so every seed in [0, 2^64) is exact; a list
+    passed as ``Philox(key=...)`` goes through float64 from 2^63 on.
     """
-    bit_generator = np.random.Philox(0)
-    bit_generator.state = {"bit_generator": "Philox",
-                           "state": {"counter": [0, 0, 0, 0], "key": [seed, 0]},
-                           "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
-                           "uinteger": 0}
-    return np.random.Generator(bit_generator)
+    gen.bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"counter": [0, 0, 0, 0], "key": [seed, 0]},
+                               "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
+                               "uinteger": 0}
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """A fresh generator on the Philox stream keyed [seed, 0] (see ``_rekey``)."""
+    gen = np.random.Generator(np.random.Philox(0))  # a fixed seed draws no OS entropy
+    _rekey(gen, seed)
+    return gen
 
 
 def sample_sequential(process: Process, O_A: Observable, O_B: Observable,
