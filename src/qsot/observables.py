@@ -47,12 +47,18 @@ class Classification:
 
 @dataclass(frozen=True)
 class Observable:
-    """A hermitian matrix with lazily computed spectral data."""
+    """A hermitian matrix with lazily computed spectral data.
+
+    ``matrix`` is a read-only copy of the given one, so changing the caller's
+    array leaves the observable and its spectral data as they were.
+    """
 
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", check_hermitian(self.matrix))
+        M = np.array(check_hermitian(self.matrix))
+        M.flags.writeable = False
+        object.__setattr__(self, "matrix", M)
         object.__setattr__(self, "_cache", {})
 
     @property

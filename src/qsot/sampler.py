@@ -6,7 +6,7 @@ come from one counter-based Philox stream keyed on the seed, so counts are a
 pure function of (seed, shots). ``estimate_pdm`` takes the joint distributions
 of all basis pairs from one batched probability table, draws the counts of every
 pair in one multinomial call on that one stream, and expands the means over the
-dual frames of any complete bases.
+dual frames of any complete bases with ``pdm_from_correlations``.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .channels import Process
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidParameter, NumericalFailure
 from .linalg import PROB_SUM_TOL
 from .observables import Observable
-from .sot import StateOverTime, _dual_expansion
-from .twotime import _joint_table, joint_distribution
+from .sot import StateOverTime, pdm_from_correlations
+from .twotime import _joint_table, _records, joint_distribution
 
 SEED_LIMIT = 1 << 64
 SHOTS_LIMIT = 1 << 63  # a multinomial draw takes its number of trials as an int64
@@ -129,24 +129,24 @@ def estimate_pdm(process: Process, basis_A, basis_B, shots_per_pair: int,
     law. The means and standard errors of ``estimate_ev`` follow for all pairs at once.
     The pairs are independent, so ``stderr``, the Frobenius standard error of the
     dual-frame expansion, is exactly sqrt(sum_ab s_ab^2 (G_A^-1)_aa (G_B^-1)_bb):
-    sqrt(sum_ab s_ab^2 / (c_A c_B)) if orthogonal.
+    sqrt(sum_ab s_ab^2 / (c_A c_B)) if orthogonal. The bases' records
+    (``twotime._basis``) hold the cluster eigenvalues and the squared dual norms.
     """
     _check_shots(shots_per_pair)
     _check_seed(seed)
     if not len(basis_A) or not len(basis_B):
         raise DimensionMismatch("both observable bases must be nonempty")
-    table, starts_A, starts_B = _joint_table(process, basis_A, basis_B)
-    lam = np.concatenate([A.spectral.eigenvalues for A in basis_A])
-    mu = np.concatenate([B.spectral.eigenvalues for B in basis_B])
+    A, B = _records(process, basis_A, basis_B)
+    table = _joint_table(process, A, B)
     # Pair (a, b) holds its block's cells row-major at [a, b], zero-padded to the widest
-    # pair: cell t sits at table row starts_A[a] + t // cols[b], column starts_B[b] + t % cols[b].
-    rows, cols = np.diff(starts_A), np.diff(starts_B)
+    # pair: cell t sits at table row A.starts[a] + t // cols[b], column B.starts[b] + t % cols[b].
+    rows, cols = np.diff(A.starts), np.diff(B.starts)
     i, j = np.divmod(np.arange(rows.max() * cols.max()), cols[:, None])
     valid = i < rows[:, None, None]
-    r, c = np.where(valid, starts_A[:-1, None, None] + i, 0), starts_B[:-1, None] + j
+    r, c = np.where(valid, A.starts[:-1, None, None] + i, 0), B.starts[:-1, None] + j
     valid = valid.reshape(len(basis_A) * len(basis_B), -1)
     probs = np.where(valid, table[r, c].reshape(valid.shape), 0.0)
-    products = np.where(valid, (lam[r] * mu[c]).reshape(valid.shape), 0.0)
+    products = np.where(valid, (A.eigenvalues[r] * B.eigenvalues[c]).reshape(valid.shape), 0.0)
     sizes = np.outer(rows, cols).ravel()
     totals = _row_sums(probs, sizes)
     off = np.flatnonzero(np.abs(totals - 1.0) > PROB_SUM_TOL)
@@ -162,7 +162,7 @@ def estimate_pdm(process: Process, basis_A, basis_B, shots_per_pair: int,
     # One shot leaves every deviation at exactly 0, so dividing by 1 keeps var at 0.
     var = _row_sums(counts * (products - means[:, None]) ** 2, sizes) / max(n - 1, 1)
     shape = (len(basis_A), len(basis_B))
-    sot, w_A, w_B = _dual_expansion(process.dim_in, process.dim_out, basis_A, basis_B,
-                                    means.reshape(shape))
-    stderr = float(np.sqrt(w_A @ var.reshape(shape) @ w_B / n))
+    sot = pdm_from_correlations(process.dim_in, process.dim_out, basis_A, basis_B,
+                                means.reshape(shape))
+    stderr = float(np.sqrt(A.frame[2] @ var.reshape(shape) @ B.frame[2] / n))
     return replace(sot, provenance="sampled", stderr=stderr)

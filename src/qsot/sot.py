@@ -21,7 +21,7 @@ from .errors import (
 )
 from .linalg import CLUSTER_RTOL, COUNTEREXAMPLE_RTOL
 from .observables import Observable, hermitian_basis
-from .twotime import _dual_frame, _frames, _values, trace_grid, two_time_grid
+from .twotime import _basis, _frames, _values, trace_grid, two_time_grid
 
 
 @dataclass(frozen=True)
@@ -81,13 +81,9 @@ def pdm_from_correlations(dimA: int, dimB: int, basis_A, basis_B, evs) -> StateO
     basis_A must be dimA^2 independent light-touch observables, basis_B dimB^2
     independent hermitian ones. The result, the one operator whose trace pairings
     reproduce the data, is sum_ab evs[a][b] A~_a (x) B~_b over the dual frames
-    A~ = G_A^-1 A and B~ = G_B^-1 B (A / c_A and B / c_B for orthogonal bases).
+    A~ = G_A^-1 A and B~ = G_B^-1 B (A / c_A and B / c_B for orthogonal bases),
+    read from the bases' records.
     """
-    return _dual_expansion(dimA, dimB, basis_A, basis_B, evs)[0]
-
-
-def _dual_expansion(dimA: int, dimB: int, basis_A, basis_B, evs) -> tuple:
-    """``pdm_from_correlations`` and the squared dual norms (G_A^-1)_aa and (G_B^-1)_bb."""
     if not len(basis_A) or not len(basis_B):
         raise DimensionMismatch("both observable bases must be nonempty")
     evs = np.asarray(evs, dtype=float)
@@ -96,13 +92,12 @@ def _dual_expansion(dimA: int, dimB: int, basis_A, basis_B, evs) -> tuple:
     if (len(basis_A), len(basis_B)) != (dimA * dimA, dimB * dimB):
         raise DimensionMismatch(f"complete bases need {dimA * dimA} and {dimB * dimB} "
                                 f"observables, got {len(basis_A)} and {len(basis_B)}")
-    if not all(obs.is_light_touch for obs in basis_A):
+    A = _basis(basis_A, dimA)
+    if not A.light_touch:
         raise NotLightTouch("basis_A contains a non-light-touch element")
-    dual_A, cond_A, norms_A = _dual_frame(basis_A, dimA)
-    dual_B, cond_B, norms_B = _dual_frame(basis_B, dimB)
-    sot = StateOverTime(matrix=_expand(evs, dual_A, dual_B), dimA=dimA, dimB=dimB,
-                        provenance="reconstructed", condition=cond_A * cond_B)
-    return sot, norms_A, norms_B
+    (dual_A, cond_A, _), (dual_B, cond_B, _) = A.frame, _basis(basis_B, dimB).frame
+    return StateOverTime(matrix=_expand(evs, dual_A, dual_B), dimA=dimA, dimB=dimB,
+                         provenance="reconstructed", condition=cond_A * cond_B)
 
 
 def reconstruct_unique(process: Process) -> StateOverTime:
@@ -114,9 +109,9 @@ def reconstruct_unique(process: Process) -> StateOverTime:
     with A~ = G^-1 A the dual frame; cond(G) is reported as ``condition``.
     """
     dA, dB = process.dim_in, process.dim_out
-    probes_A, dual, condition, _, _ = _frames(dA)
-    B = _frames(dB)[3]
-    X = _expand(_values(process, probes_A, B), dual, B)
+    A, B = _basis(_frames(dA)[0], dA), _basis(_frames(dB)[1], dB)
+    dual, condition, _ = A.frame
+    X = _expand(_values(process, A, B), dual, B.stack)
     return StateOverTime(matrix=X, dimA=dA, dimB=dB, provenance="reconstructed",
                          condition=condition)
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,29 +31,86 @@ class JointDistribution:
     probs: np.ndarray = field(repr=False)
 
 
-def _check_dim(observables, dim: int, label: str, target: str) -> None:
+_MEMO_SIZE = 16  # basis records kept by ``_basis``; the least recently used goes first
+_MEMO: OrderedDict = OrderedDict()
+_MEMO_LOCK = threading.Lock()  # a lookup, insertion and eviction act as one step
+
+
+class _Basis:
+    """What the kernel reads of one list of observables, built once per content.
+
+    ``stack`` is the (n, dim, dim) matrix stack, a read-only view of the memo key's
+    bytes. ``eigenvalues`` and ``projectors`` concatenate the clusters of every
+    observable's spectral decomposition, observable k's at ``starts[k]:starts[k + 1]``;
+    ``norms`` are the spectral norms, and ``light_touch`` says whether every observable
+    is light-touch. The dual frame is built on first use.
+    """
+
+    def __init__(self, data: bytes, dim: int, observables):
+        decs = [obs.spectral for obs in observables]
+        self.stack = np.frombuffer(data, dtype=complex).reshape(-1, dim, dim)
+        self.starts = np.cumsum([0] + [len(dec.eigenvalues) for dec in decs])
+        self.eigenvalues = np.concatenate([np.zeros(0)] + [dec.eigenvalues for dec in decs])
+        self.projectors = np.concatenate([np.zeros((0, dim, dim), dtype=complex)]
+                                         + [dec.projectors for dec in decs])
+        self.norms = np.array([dec.norm for dec in decs])
+        self.light_touch = all(obs.is_light_touch for obs in observables)
+        for M in (self.starts, self.eigenvalues, self.projectors, self.norms):
+            M.flags.writeable = False
+
+    @functools.cached_property
+    def frame(self) -> tuple:
+        """The dual frame G^-1 A of the stack A with Gram matrix G, cond(G) and the squared
+        dual norms (G^-1)_aa = sum_k V_ak^2 / w_k, from one eigendecomposition G = V w V^T.
+
+        G is formed from the stack divided by the power of 2 at or below its largest part,
+        an exact division, so no frame over- or underflows it; the outputs are scaled back,
+        and the norms, as 1 / scale^2, may round to 0 or inf at the ends of the float range.
+        The frame is an LU solve: built from V and w it moves reconstructions by up to 3x
+        more roundoff. A singular G raises SingularSystem, on every access.
+        """
+        A = self.stack
+        R = A.reshape(len(A), -1).view(float)  # the real and imaginary parts side by side
+        scale = math.ldexp(1.0, math.frexp(float(np.abs(R).max()))[1] - 1)
+        F = (R / scale).view(complex)
+        G = (F.conj() @ F.T).real
+        w, V = np.linalg.eigh(G)
+        if w[0] <= w[-1] * len(w) * np.finfo(float).eps:  # NumPy's matrix_rank tolerance
+            raise SingularSystem(f"Gram matrix eigenvalues {w[-1]:.3e} .. {w[0]:.3e}")
+        with np.errstate(over="ignore"):
+            norms = (V * V) @ (1.0 / w) / scale / scale
+        dual = (np.linalg.solve(G, F) / scale).reshape(A.shape)
+        for M in (dual, norms):
+            M.flags.writeable = False
+        return dual, float(w[-1] / w[0]), norms
+
+
+def _basis(observables, dim: int, label: str = "frame element",
+           target: str = "dimension") -> _Basis:
+    """The record of a list of observables, each of which must have dimension dim.
+
+    Records are kept in a bounded LRU memo keyed on (dim, the stack's bytes), so equal
+    lists built apart share one record, and a changed or rescaled list gets its own.
+    """
     for obs in observables:
         if obs.dim != dim:
             raise DimensionMismatch(f"{label} dim {obs.dim} != {target} {dim}")
+    key = (dim, np.array([obs.matrix for obs in observables], dtype=complex).tobytes())
+    with _MEMO_LOCK:
+        record = _MEMO.get(key)
+        if record is None:
+            record = _MEMO[key] = _Basis(key[1], dim, observables)
+            if len(_MEMO) > _MEMO_SIZE:
+                _MEMO.popitem(last=False)
+        else:
+            _MEMO.move_to_end(key)
+    return record
 
 
-def _stack(observables, dim: int, label: str, target: str) -> np.ndarray:
-    """The observables' matrices as one (n, dim, dim) array; each must have dimension dim."""
-    _check_dim(observables, dim, label, target)
-    return np.array([obs.matrix for obs in observables], dtype=complex).reshape(-1, dim, dim)
-
-
-def _luders_stack(rho: np.ndarray, As) -> np.ndarray:
-    """L_a = sum_i lam_i P_i rho P_i for every first observable, as one (nA, d, d) stack.
-
-    The clusters of all observables are sandwiched in one batch and summed
-    back per observable, so uneven cluster counts need no padding.
-    """
-    decs = [A.spectral for A in As]
-    lam = np.concatenate([dec.eigenvalues for dec in decs])
-    P = np.concatenate([dec.projectors for dec in decs])
-    starts = np.cumsum([0] + [len(dec.eigenvalues) for dec in decs[:-1]])
-    return np.add.reduceat(lam[:, None, None] * (P @ rho @ P), starts, axis=0)
+def _records(process: Process, As, Bs) -> tuple:
+    """The records of first observables on the channel input and second ones on its output."""
+    return (_basis(As, process.dim_in, "O_A", "channel input"),
+            _basis(Bs, process.dim_out, "O_B", "channel output"))
 
 
 def _evolve(channel, L: np.ndarray) -> np.ndarray:
@@ -73,10 +132,17 @@ def _pairings(M: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (M.reshape(len(M), -1) @ B.reshape(len(B), -1).conj().T).real
 
 
-def _values(process: Process, As, B: np.ndarray) -> np.ndarray:
-    if not len(As) or not len(B):
-        return np.zeros((len(As), len(B)))
-    return _pairings(_evolve(process.channel, _luders_stack(process.rho, As)), B)
+def _values(process: Process, A: _Basis, B: _Basis) -> np.ndarray:
+    """Tr[E(L_a) B_b] for records A and B, with L_a = sum_i lam_i P_i rho P_i.
+
+    The clusters of all first observables are sandwiched in one batch and summed
+    back per observable, so uneven cluster counts need no padding.
+    """
+    if not len(A.stack) or not len(B.stack):
+        return np.zeros((len(A.stack), len(B.stack)))
+    P = A.projectors
+    L = np.add.reduceat(A.eigenvalues[:, None, None] * (P @ process.rho @ P), A.starts[:-1], axis=0)
+    return _pairings(_evolve(process.channel, L), B.stack)
 
 
 def _traces(X: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -104,45 +170,37 @@ def two_time_grid(process: Process, As, Bs) -> np.ndarray:
     operator L_a; all rows are evolved in one batch and paired with every
     second observable in one product.
     """
-    _check_dim(As, process.dim_in, "O_A", "channel input")
-    return _values(process, As, _stack(Bs, process.dim_out, "O_B", "channel output"))
+    return _values(process, *_records(process, As, Bs))
 
 
 def trace_grid(X, As, Bs) -> np.ndarray:
     """The (nA, nB) array of Tr[X (A_a (x) B_b)], with no A_a (x) B_b formed."""
     if not len(As) or not len(Bs):
         return np.zeros((len(As), len(Bs)))
-    A = _stack(As, As[0].dim, "O_A", "first O_A")
-    B = _stack(Bs, Bs[0].dim, "O_B", "first O_B")
+    A = _basis(As, As[0].dim, "O_A", "first O_A").stack
+    B = _basis(Bs, Bs[0].dim, "O_B", "first O_B").stack
     return _traces(_check_sot_shape(X, A.shape[1], B.shape[1]), A, B)
 
 
-def _joint_table(process: Process, As, Bs) -> tuple:
+def _joint_table(process: Process, A: _Basis, B: _Basis) -> np.ndarray:
     """P(i, j) = Tr[E(P_i rho P_i) Q_j] for every cluster of every A against every cluster of every B.
 
     The eigenprojectors of all first observables are sandwiched, evolved and
     paired with those of all second observables in one batch. The table is
-    checked against PROB_NEG_LIMIT and clamped at 0. ``starts_A`` and
-    ``starts_B`` hold each observable's first row and column with the totals
-    appended, so the joint distribution of (As[a], Bs[b]) is the block
-    table[starts_A[a]:starts_A[a + 1], starts_B[b]:starts_B[b + 1]].
+    checked against PROB_NEG_LIMIT and clamped at 0. The joint distribution
+    of observables a and b is the block
+    table[A.starts[a]:A.starts[a + 1], B.starts[b]:B.starts[b + 1]].
     """
-    _check_dim(As, process.dim_in, "O_A", "channel input")
-    _check_dim(Bs, process.dim_out, "O_B", "channel output")
-    decA, decB = [A.spectral for A in As], [B.spectral for B in Bs]
-    P = np.concatenate([dec.projectors for dec in decA])
-    Q = np.concatenate([dec.projectors for dec in decB])
-    table = _pairings(_evolve(process.channel, P @ process.rho @ P), Q)
+    P = A.projectors
+    table = _pairings(_evolve(process.channel, P @ process.rho @ P), B.projectors)
     if table.min() < -PROB_NEG_LIMIT:
         raise NumericalFailure(f"probability {table.min()} below clamping limit")
-    starts_A = np.cumsum([0] + [len(dec.eigenvalues) for dec in decA])
-    starts_B = np.cumsum([0] + [len(dec.eigenvalues) for dec in decB])
-    return np.maximum(table, 0.0), starts_A, starts_B
+    return np.maximum(table, 0.0)
 
 
 def joint_distribution(process: Process, O_A: Observable, O_B: Observable) -> JointDistribution:
     """P(i, j) = Tr[E(P_i rho P_i) Q_j] over distinct-eigenvalue projectors."""
-    probs = _joint_table(process, [O_A], [O_B])[0]
+    probs = _joint_table(process, *_records(process, [O_A], [O_B]))
     total = probs.sum()
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise NumericalFailure(f"joint distribution sums to {total}")
@@ -178,9 +236,8 @@ def representability_residual(process: Process, X, probes) -> float:
 
     Each probe is normalized by max(1, ||O_A|| ||O_B||) in spectral norm so
     residuals are comparable across probe scales. The distinct first and
-    second observables make one grid of each side. The first observables'
-    norms come from the spectral decompositions the grid already uses; the
-    second observables' from one batched eigvalsh.
+    second observables make one grid of each side, and both sides' norms
+    come from their records.
     """
     dA, dB = process.dim_in, process.dim_out
     X = _check_sot_shape(X, dA, dB)
@@ -190,53 +247,19 @@ def representability_residual(process: Process, X, probes) -> float:
     firsts, seconds = zip(*probes)
     As, ia = _unique(firsts)
     Bs, ib = _unique(seconds)
-    A = _stack(As, dA, "O_A", "channel input")
-    B = _stack(Bs, dB, "O_B", "channel output")
-    dev = np.abs(_values(process, As, B) - _traces(X, A, B))[ia, ib]
-    norm_A = np.array([obs.spectral.norm for obs in As])
-    norm_B = np.abs(np.linalg.eigvalsh(B)).max(axis=1)
-    return float(np.max(dev / np.maximum(1.0, norm_A[ia] * norm_B[ib])))
-
-
-def _dual_frame(observables, dim: int) -> tuple:
-    """The dual frame G^-1 A of hermitian observables A_a with Gram matrix G, cond(G) and the
-    squared dual norms (G^-1)_aa = sum_k V_ak^2 / w_k, from one eigendecomposition G = V w V^T.
-
-    G is formed from the stack divided by the power of 2 at or below its largest part, an
-    exact division, so no frame over- or underflows it; the outputs are scaled back, and the
-    norms, as 1 / scale^2, may round to 0 or inf at the ends of the float range. The frame
-    is an LU solve: built from V and w it moves reconstructions by up to 3x more roundoff.
-    A singular G raises SingularSystem.
-    """
-    A = _stack(observables, dim, "frame element", "dimension")
-    R = A.reshape(len(A), -1).view(float)  # the real and imaginary parts side by side
-    scale = math.ldexp(1.0, math.frexp(float(np.abs(R).max()))[1] - 1)
-    F = (R / scale).view(complex)
-    G = (F.conj() @ F.T).real
-    w, V = np.linalg.eigh(G)
-    if w[0] <= w[-1] * len(w) * np.finfo(float).eps:  # NumPy's matrix_rank tolerance
-        raise SingularSystem(f"Gram matrix eigenvalues {w[-1]:.3e} .. {w[0]:.3e}")
-    with np.errstate(over="ignore"):
-        norms = (V * V) @ (1.0 / w) / scale / scale
-    return (np.linalg.solve(G, F) / scale).reshape(A.shape), float(w[-1] / w[0]), norms
+    A, B = _records(process, As, Bs)
+    dev = np.abs(_values(process, A, B) - _traces(X, A.stack, B.stack))[ia, ib]
+    return float(np.max(dev / np.maximum(1.0, A.norms[ia] * B.norms[ib])))
 
 
 @functools.lru_cache(maxsize=16)
 def _frames(d: int) -> tuple:
-    """Per dimension: the light-touch spanning set, its dual frame, cond(G), the hermitian basis
-    as a stack and as observables.
+    """Per dimension: the light-touch spanning set and the hermitian basis.
 
-    Shared by ``light_touch_probes`` and ``reconstruct_unique``. Every array is
-    read-only, the observables' matrices included; caching the observables
-    keeps their spectral decompositions too.
+    Shared by ``light_touch_probes`` and ``reconstruct_unique``; caching the
+    observables keeps their spectral decompositions too.
     """
-    probes = tuple(light_touch_spanning_set(d))
-    dual, condition, _ = _dual_frame(probes, d)
-    basis = tuple(hermitian_basis(d))
-    stack = _stack(basis, d, "basis", "dimension")
-    for M in (dual, stack, *(obs.matrix for obs in probes + basis)):
-        M.flags.writeable = False
-    return probes, dual, condition, stack, basis
+    return tuple(light_touch_spanning_set(d)), tuple(hermitian_basis(d))
 
 
 def light_touch_probes(dim_in: int, dim_out: int) -> list:
@@ -244,7 +267,7 @@ def light_touch_probes(dim_in: int, dim_out: int) -> list:
 
     The observables are shared between calls, and their matrices are read-only.
     """
-    basis_B = _frames(dim_out)[4]
+    basis_B = _frames(dim_out)[1]
     return [(A, B) for A in _frames(dim_in)[0] for B in basis_B]
 
 

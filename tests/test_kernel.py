@@ -51,7 +51,16 @@ from qsot import sampler
 from qsot.channels import apply
 from qsot.observables import gram_matrix, hermitian_basis, light_touch_spanning_set
 from qsot.sampler import _rng
-from qsot.twotime import _joint_table, light_touch_probes, sot_trace_value
+from qsot import twotime
+from qsot.twotime import (
+    _MEMO_SIZE,
+    _basis,
+    _frames,
+    _joint_table,
+    _records,
+    light_touch_probes,
+    sot_trace_value,
+)
 
 TOL = 1e-12
 KINDS = ("general", "light-touch", "scalar", "degenerate", "near-degenerate")
@@ -158,7 +167,8 @@ def ref_single_draw_estimates(process, basis_A, basis_B, shots, seed):
     counts a row leaves in its padding move to the pair's last cell, and each pair
     goes through its own ``estimate_ev``.
     """
-    table, starts_A, starts_B = _joint_table(process, basis_A, basis_B)
+    A, B = _records(process, basis_A, basis_B)
+    table, starts_A, starts_B = _joint_table(process, A, B), A.starts, B.starts
     blocks = [table[starts_A[a]:starts_A[a + 1], starts_B[b]:starts_B[b + 1]]
               for a in range(len(basis_A)) for b in range(len(basis_B))]
     width = max(P.size for P in blocks)
@@ -315,7 +325,8 @@ def test_joint_table_blocks_match_joint_distribution(seed, dA, dB, rank, kinds_A
     rng = np.random.default_rng(seed)
     process = make_process(rng, dA, dB, rank)
     As, Bs = observables(rng, dA, kinds_A), observables(rng, dB, kinds_B)
-    table, starts_A, starts_B = _joint_table(process, As, Bs)
+    A, B = _records(process, As, Bs)
+    table, starts_A, starts_B = _joint_table(process, A, B), A.starts, B.starts
     assert table.shape == (starts_A[-1], starts_B[-1])
     for a, A in enumerate(As):
         for b, B in enumerate(Bs):
@@ -404,9 +415,10 @@ def test_estimate_pdm_rejects_empty_and_wrong_dimension_bases():
 def test_estimate_pdm_names_the_pair_that_does_not_sum_to_one(monkeypatch):
     process = make_process(np.random.default_rng(10), 2, 2, 2)
     basis = pauli_basis(1)
-    table, starts_A, starts_B = _joint_table(process, basis, basis)
-    table[starts_A[2]:starts_A[3], starts_B[1]:starts_B[2]] *= 1.0 + 1e-6
-    monkeypatch.setattr(sampler, "_joint_table", lambda *args: (table, starts_A, starts_B))
+    A, B = _records(process, basis, basis)
+    table = _joint_table(process, A, B)
+    table[A.starts[2]:A.starts[3], B.starts[1]:B.starts[2]] *= 1.0 + 1e-6
+    monkeypatch.setattr(sampler, "_joint_table", lambda *args: table)
     with pytest.raises(NumericalFailure, match=r"pair \(2, 1\) sums to 1\.00000"):
         estimate_pdm(process, basis, basis, 10, seed=1)
 
@@ -602,3 +614,117 @@ def test_wrong_dimension_probes_raise(seed, dA, dB, wrong):
         trace_grid(np.eye(dA * dB + 1), [good_A], [good_B])
     with pytest.raises(DimensionMismatch):
         representability_residual(process, np.eye(dA * dB + 1), [(good_A, good_B)])
+
+
+# ------------------------------------------------------------ basis records
+
+def test_cold_and_warm_calls_agree_bit_for_bit():
+    rng = np.random.default_rng(12)
+    process = make_process(rng, 3, 2, 3)
+    As, Bs = light_touch_spanning_set(3), light_touch_spanning_set(2)
+    X = canonical_sot(process).matrix
+    probes = [(A, B) for A in As for B in Bs]
+    grid = two_time_grid(process, As, Bs)
+
+    def sampled():
+        est = estimate_pdm(process, As, Bs, 1000, 5)
+        return est.matrix, est.stderr
+
+    calls = {
+        "two_time_grid": lambda: (two_time_grid(process, As, Bs),),
+        "trace_grid": lambda: (trace_grid(X, As, Bs),),
+        "_joint_table": lambda: (_joint_table(process, *_records(process, As, Bs)),),
+        "representability_residual": lambda: (representability_residual(process, X, probes),),
+        "reconstruct_unique": lambda: (reconstruct_unique(process).matrix,),
+        "pdm_from_correlations": lambda: (pdm_from_correlations(3, 2, As, Bs, grid).matrix,),
+        "estimate_pdm": sampled,
+    }
+    for name, call in calls.items():
+        twotime._MEMO.clear()
+        cold = call()
+        assert twotime._MEMO, name
+        warm = call()
+        assert all(np.array_equal(c, w) for c, w in zip(cold, warm)), name
+
+
+def test_equal_lists_share_one_record_and_any_other_content_gets_its_own():
+    twotime._MEMO.clear()
+    record = _basis(pauli_basis(1), 2)
+    assert _basis(pauli_basis(1), 2) is record
+    assert len(twotime._MEMO) == 1
+    rescaled = _basis([Observable(2 * P.matrix) for P in pauli_basis(1)], 2)
+    assert rescaled is not record and len(twotime._MEMO) == 2
+    assert np.array_equal(rescaled.stack, 2 * record.stack)
+    assert np.array_equal(rescaled.norms, 2 * record.norms)
+    assert np.array_equal(rescaled.frame[0], record.frame[0] / 2)
+    # A list that differs in its last element only, and one whose bytes are those of
+    # another list in another dimension, get their own records too.
+    P = pauli_basis(1)
+    assert _basis(P[:3] + [P[0]], 2) is not record
+    scalars = [Observable(np.array([[z]])) for z in np.eye(2).ravel()]
+    assert _basis(scalars, 1).stack.tobytes() == _basis(P[:1], 2).stack.tobytes()
+    assert _basis(scalars, 1) is not _basis(P[:1], 2)
+
+
+def test_memo_keeps_the_most_recently_used_records_within_its_bound():
+    twotime._MEMO.clear()
+    rng = np.random.default_rng(13)
+
+    def new_list():
+        return [make_observable(rng, 2, "general") for _ in range(3)]
+
+    first = new_list()
+    record = _basis(first, 2)
+    second = _basis(new_list(), 2)
+    for _ in range(_MEMO_SIZE - 2):
+        _basis(new_list(), 2)
+    assert len(twotime._MEMO) == _MEMO_SIZE
+    assert _basis(first, 2) is record  # used again: the oldest is now the second list
+    _basis(new_list(), 2)
+    assert len(twotime._MEMO) == _MEMO_SIZE
+    assert _basis(first, 2) is record and second not in twotime._MEMO.values()
+    for _ in range(_MEMO_SIZE + 5):
+        _basis(new_list(), 2)
+        assert len(twotime._MEMO) <= _MEMO_SIZE
+    # Evicted, the first list gets a new record equal to the old one.
+    again = _basis(first, 2)
+    assert again is not record
+    assert np.array_equal(again.projectors, record.projectors)
+
+
+def test_record_arrays_are_read_only():
+    twotime._MEMO.clear()
+    record = _basis(light_touch_spanning_set(3), 3)
+    dual, _, norms = record.frame
+    for M in (record.stack, record.eigenvalues, record.projectors, record.starts,
+              record.norms, dual, norms):
+        with pytest.raises(ValueError):
+            M.flat[0] = 1
+
+
+def test_record_dual_frame_is_cached_and_read_only():
+    probes, basis = _frames(3)
+    dual, condition, _ = _basis(probes, 3).frame
+    assert _basis(probes, 3).frame[0] is dual
+    stack = _basis(basis, 3).stack
+    A = np.array([P.matrix for P in probes])
+    assert np.abs(np.einsum("aij,bji->ab", dual, A) - np.eye(9)).max() < 1e-12
+    assert np.abs(np.einsum("aij,bji->ab", stack, stack) - np.eye(9)).max() < 1e-15
+    for arr in (dual, stack):
+        with pytest.raises(ValueError):
+            arr[0, 0, 0] = 1.0
+    assert _frames.cache_info().maxsize is not None
+
+
+def test_light_touch_probes_share_the_frame_cache():
+    probes, basis = _frames(3)
+    _, basis_2 = _frames(2)
+    stack = _basis(basis, 3).stack
+    pairs = light_touch_probes(3, 2)
+    assert len(pairs) == len(probes) * len(basis_2)
+    assert all(A is probes[k // 4] and B is basis_2[k % 4] for k, (A, B) in enumerate(pairs))
+    assert light_touch_probes(3, 2)[5][0] is pairs[5][0]
+    assert np.array_equal(stack, [B.matrix for B in basis])
+    for obs in (probes[1], basis[2], basis_2[0]):
+        with pytest.raises(ValueError):
+            obs.matrix[0, 0] = 1.0

@@ -6,9 +6,12 @@ from qsot import (
     InvalidIndex,
     Observable,
     ParameterOutOfRange,
+    Process,
+    canonical_sot,
     classify_light_touch,
     hermitian_basis,
     hs_inner,
+    identity_channel,
     light_touch_basis_qutrit,
     light_touch_spanning_set,
     pauli_basis,
@@ -16,9 +19,11 @@ from qsot import (
     sic_fiducial_v,
     sic_fiducial_w,
     sic_povm,
+    two_time_ev,
     weyl_heisenberg,
 )
 from qsot.observables import gram_matrix
+from qsot.twotime import sot_trace_value
 
 W3 = np.exp(2j * np.pi / 3)
 H3 = np.exp(1j * np.pi / 3)  # principal half power of W3
@@ -270,3 +275,19 @@ def test_observable_caches_spectral_data():
     obs = Observable(np.diag([1.0, -1.0]))
     assert obs.spectral is obs.spectral
     assert obs.is_light_touch
+
+
+def test_observable_keeps_a_read_only_copy_of_its_matrix():
+    # A complex array is stored without conversion, so the copy must be explicit:
+    # writing to the caller's array after the spectrum is cached left the matrix and
+    # the spectrum describing different observables.
+    M = np.diag([1.0, -1.0]).astype(complex)
+    obs = Observable(M)
+    assert obs.spectral.norm == 1.0
+    M[0, 0] = 3.0
+    assert np.array_equal(obs.matrix, np.diag([1.0, -1.0]))
+    with pytest.raises(ValueError):
+        obs.matrix[0, 0] = 3.0
+    process = Process(identity_channel(2), np.eye(2) / 2)
+    X = canonical_sot(process).matrix
+    assert abs(two_time_ev(process, obs, obs) - sot_trace_value(X, obs, obs)) <= 1e-15

@@ -28,7 +28,7 @@ from qsot import (
 from qsot import sampler
 from qsot.observables import PAULI
 from qsot.sampler import _rekey, _rng
-from qsot.twotime import _joint_table
+from qsot.twotime import _joint_table, _records
 
 
 def test_deterministic_outcome():
@@ -123,7 +123,8 @@ def single_draw(process, basis_A, basis_B, shots, seed):
     drawn in one call on ``_rng(seed)``, and the counts a row leaves in its padding move to
     the pair's last cell.
     """
-    table, starts_A, starts_B = _joint_table(process, basis_A, basis_B)
+    A, B = _records(process, basis_A, basis_B)
+    table, starts_A, starts_B = _joint_table(process, A, B), A.starts, B.starts
     probs = [table[starts_A[a]:starts_A[a + 1], starts_B[b]:starts_B[b + 1]]
              for a in range(len(basis_A)) for b in range(len(basis_B))]
     width = max(P.size for P in probs)

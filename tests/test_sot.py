@@ -33,7 +33,7 @@ from qsot import (
 )
 from qsot.channels import apply
 from qsot.sot import StateOverTime
-from qsot.twotime import _dual_frame, _frames, light_touch_probes
+from qsot.twotime import _basis
 
 
 def qutrit_reference_matrix():
@@ -172,35 +172,10 @@ def test_condition_numbers():
     assert rec.condition == pytest.approx(133.3005, rel=1e-6)
 
 
-def test_frames_are_dual_cached_and_read_only():
-    probes, dual, condition, basis, _ = _frames(3)
-    assert _frames(3)[1] is dual
-    A = np.array([P.matrix for P in probes])
-    assert np.abs(np.einsum("aij,bji->ab", dual, A) - np.eye(9)).max() < 1e-12
-    assert np.abs(np.einsum("aij,bji->ab", basis, basis) - np.eye(9)).max() < 1e-15
-    for arr in (dual, basis):
-        with pytest.raises(ValueError):
-            arr[0, 0, 0] = 1.0
-    assert _frames.cache_info().maxsize is not None
-
-
-def test_light_touch_probes_share_the_frame_cache():
-    probes, _, _, stack, basis = _frames(3)
-    _, _, _, _, basis_2 = _frames(2)
-    pairs = light_touch_probes(3, 2)
-    assert len(pairs) == len(probes) * len(basis_2)
-    assert all(A is probes[k // 4] and B is basis_2[k % 4] for k, (A, B) in enumerate(pairs))
-    assert light_touch_probes(3, 2)[5][0] is pairs[5][0]
-    assert np.array_equal(stack, [B.matrix for B in basis])
-    for obs in (probes[1], basis[2], basis_2[0]):
-        with pytest.raises(ValueError):
-            obs.matrix[0, 0] = 1.0
-
-
 def test_dual_frame_rejects_singular_gram():
     Z = Observable(np.diag([1.0, -1.0]))
     with pytest.raises(SingularSystem):
-        _dual_frame([Observable(np.eye(2)), Z, Z, Observable(-np.eye(2))], 2)
+        _basis([Observable(np.eye(2)), Z, Z, Observable(-np.eye(2))], 2).frame
 
 
 def test_causality_witness_values():
