@@ -43,9 +43,7 @@ _EXPORTS = {
     ),
     "linalg": (
         "SpectralDecomposition",
-        "anticommutator",
         "hermitian_eigendecomposition",
-        "hs_inner",
         "partial_trace",
         "tensor",
     ),

@@ -126,21 +126,3 @@ def partial_trace(M, dimA: int, dimB: int, which: str) -> np.ndarray:
     if which == "B":
         return np.trace(T, axis1=1, axis2=3)
     raise DimensionMismatch(f"which must be 'A' or 'B', got {which!r}")
-
-
-def anticommutator(A, B) -> np.ndarray:
-    """AB + BA for equal-dimension square matrices."""
-    A = as_matrix(A)
-    B = as_matrix(B)
-    if A.shape != B.shape or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"incompatible shapes {A.shape} and {B.shape}")
-    return A @ B + B @ A
-
-
-def hs_inner(A, B) -> complex:
-    """Hilbert-Schmidt inner product Tr[A^dagger B]."""
-    A = as_matrix(A)
-    B = as_matrix(B)
-    if A.shape != B.shape or A.shape[0] != A.shape[1]:
-        raise DimensionMismatch(f"incompatible shapes {A.shape} and {B.shape}")
-    return complex(np.sum(A.conj() * B))

@@ -20,7 +20,7 @@ from .errors import (
     NotLightTouch,
 )
 from .linalg import CLUSTER_RTOL, COUNTEREXAMPLE_RTOL
-from .observables import Observable, hermitian_basis
+from .observables import Observable
 from .twotime import _basis, _frames, _values, trace_grid, two_time_grid
 
 
@@ -162,7 +162,7 @@ def maximality_counterexample(O_A: Observable):
     process = Process(identity_channel(m), np.outer(eta, eta.conj()))
     X = canonical_sot(process).matrix
 
-    basis = hermitian_basis(m)
+    basis = _frames(m)[1]
     devs = np.abs(two_time_grid(process, [O_A], basis) - trace_grid(X, [O_A], basis))[0]
     best = None
     best_dev = -1.0

@@ -329,10 +329,7 @@ def nonrepresentable_witness(m: int, n: int, a: float = 2.0, c: float = 2.0) -> 
     O_A2 = Observable(_embed_top_left(four_vector_obs(-1, 0, 1, 0), m, fill=0.0))
     O_B = Observable(_embed_top_left(four_vector_obs(a, 0, c, 0), n, fill=0.0))
 
-    diff = Observable(O_A1.matrix - O_A2.matrix)
-    gap = (
-        two_time_ev(process, diff, O_B)
-        - two_time_ev(process, O_A1, O_B)
-        + two_time_ev(process, O_A2, O_B)
-    )
-    return NonrepresentableWitness(process=process, O_A1=O_A1, O_A2=O_A2, O_B=O_B, gap=gap)
+    diff, first, second = two_time_grid(
+        process, [Observable(O_A1.matrix - O_A2.matrix), O_A1, O_A2], [O_B])[:, 0].tolist()
+    return NonrepresentableWitness(process=process, O_A1=O_A1, O_A2=O_A2, O_B=O_B,
+                                   gap=diff - first + second)

@@ -19,7 +19,6 @@ from .channels import (
     random_hermitian,
     random_process,
 )
-from .linalg import hs_inner, tensor
 from .observables import (
     Observable,
     gram_matrix,
@@ -34,8 +33,8 @@ from .twotime import (
     light_touch_probes,
     nonrepresentable_witness,
     representability_residual,
-    sot_trace_value,
-    two_time_ev,
+    trace_grid,
+    two_time_grid,
 )
 
 
@@ -76,6 +75,18 @@ def _dim_pairs(dims):
     return [(a, b) for a in dims for b in dims]
 
 
+def _special_case_residual(process: Process, X: np.ndarray, rng) -> float:
+    """max |<O_A, O_B> - Tr[X (O_A (x) O_B)]| over five random pairs, O_A drawn before O_B.
+
+    Both grids are 5x5; only their diagonal, the five drawn pairs, is judged.
+    """
+    As, Bs = [], []
+    for _ in range(5):
+        As.append(Observable(random_hermitian(process.dim_in, rng)))
+        Bs.append(Observable(random_hermitian(process.dim_out, rng)))
+    return float(np.abs(np.diag(two_time_grid(process, As, Bs) - trace_grid(X, As, Bs))).max())
+
+
 def verify_theorems(dims=(2, 3), trials: int = 25, seed: int = 0xC0FFEE,
                     tol: float | None = None) -> SuiteReport:
     """Uniqueness/trace-formula, special-case, marginal, and maximality checks."""
@@ -93,13 +104,14 @@ def verify_theorems(dims=(2, 3), trials: int = 25, seed: int = 0xC0FFEE,
             worst_rec = max(worst_rec, float(np.linalg.norm(rec.matrix - sot.matrix)))
             O_A = Observable(random_hermitian(dA, rng))
             O_B = Observable(random_hermitian(dB, rng))
-            eye_B = Observable(np.eye(dB))
-            eye_A = Observable(np.eye(dA))
+            # [0, 0] is <O_A, 1> and [1, 1] is <1, O_B>. The output state comes from
+            # apply, a per-Kraus loop the kernel does not share.
+            values = two_time_grid(process, [O_A, Observable(np.eye(dA))],
+                                   [Observable(np.eye(dB)), O_B])
             worst_marg = max(
                 worst_marg,
-                abs(two_time_ev(process, O_A, eye_B)
-                    - float(np.trace(process.rho @ O_A.matrix).real)),
-                abs(two_time_ev(process, eye_A, O_B)
+                abs(values[0, 0] - float(np.trace(process.rho @ O_A.matrix).real)),
+                abs(values[1, 1]
                     - float(np.trace(apply(process.channel, process.rho) @ O_B.matrix).real)),
             )
     report.add("light-touch trace formula (uniqueness theorem)", worst_lt, _tol(tol, 1e-10))
@@ -112,27 +124,11 @@ def verify_theorems(dims=(2, 3), trials: int = 25, seed: int = 0xC0FFEE,
         for _ in range(trials):
             chan = random_process(dA, dB, rng).channel
             mixed = Process(chan, np.eye(dA) / dA)
-            X_mm = chan.jamiolkowski / dA
             sigma = random_density(dB, rng)
             rho = random_density(dA, rng)
-            for _ in range(5):
-                O_A = Observable(random_hermitian(dA, rng))
-                O_B = Observable(random_hermitian(dB, rng))
-                worst_mm = max(
-                    worst_mm,
-                    abs(two_time_ev(mixed, O_A, O_B)
-                        - sot_trace_value(X_mm, O_A, O_B)),
-                )
+            worst_mm = max(worst_mm, _special_case_residual(mixed, chan.jamiolkowski / dA, rng))
             dp = Process(discard_prepare(sigma, dim_in=dA), rho)
-            X_dp = tensor(rho, sigma)
-            for _ in range(5):
-                O_A = Observable(random_hermitian(dA, rng))
-                O_B = Observable(random_hermitian(dB, rng))
-                worst_dp = max(
-                    worst_dp,
-                    abs(two_time_ev(dp, O_A, O_B)
-                        - sot_trace_value(X_dp, O_A, O_B)),
-                )
+            worst_dp = max(worst_dp, _special_case_residual(dp, np.kron(rho, sigma), rng))
     report.add("maximally mixed input is representable", worst_mm, _tol(tol, 1e-10))
     report.add("discard-and-prepare is representable", worst_dp, _tol(tol, 1e-10))
 
@@ -216,7 +212,7 @@ def verify_sic(seed: int = 0xC0FFEE, tol: float | None = None) -> SuiteReport:
     v = np.array([1.0, 2.0, 0.0, 0.0], dtype=complex) / np.sqrt(5)
     L_u = 2 * np.outer(u, u.conj()) - np.eye(4)
     L_v = 2 * np.outer(v, v.conj()) - np.eye(4)
-    cross = hs_inner(L_u, L_v).real
+    cross = np.vdot(L_u, L_v).real
     report.add("d=4 analogue cross term equals 4/5", abs(cross - 0.8), tol)
     return report
 

@@ -16,7 +16,6 @@ from qsot import (
     canonical_sot,
     estimate_ev,
     estimate_pdm,
-    hs_inner,
     identity_channel,
     light_touch_basis_qutrit,
     light_touch_probes,
@@ -175,7 +174,7 @@ def test_criterion_6_sic_suite():
         )
     u = np.array([1.0, 0.0, 0.0, 0.0])
     v = np.array([1.0, 2.0, 0.0, 0.0]) / np.sqrt(5)
-    cross = hs_inner(2 * np.outer(u, u) - np.eye(4), 2 * np.outer(v, v) - np.eye(4)).real
+    cross = np.vdot(2 * np.outer(u, u) - np.eye(4), 2 * np.outer(v, v) - np.eye(4)).real
     cross_dev = abs(cross - 0.8)
     elapsed = time.perf_counter() - t0
     ok = (worst_overlap <= 1e-10 and worst_sum <= 1e-10 and worst_gram <= 1e-10

@@ -6,11 +6,13 @@ one outer product per Kraus operator for the Choi matrix, the anticommutator
 with the Kronecker-lifted state for the canonical state over time,
 the least-squares reconstruction over a (dA dB)^2-square design matrix
 that the dual-frame expansion replaced, and the sampled reconstruction with
-one ``sample_sequential`` and one ``estimate_ev`` per basis pair. Every grid
-value and reconstruction must match them within 1e-12 on seeded random
-instances, and a Choi matrix exactly. A sampled reconstruction draws all pairs
-at once, so it matches the per-pair loop in law, and exactly a reference that
-makes the same single draw and estimates each pair on its own.
+one ``sample_sequential`` and one ``estimate_ev`` per basis pair, and the
+``verify theorems`` suite with one scalar two-time value and trace per pair.
+Every grid value, reconstruction and suite residual must match them within
+1e-12 on seeded random instances, and a Choi matrix exactly. A sampled
+reconstruction draws all pairs at once, so it matches the per-pair loop in
+law, and exactly a reference that makes the same single draw and estimates
+each pair on its own.
 """
 
 import functools
@@ -29,15 +31,19 @@ from qsot import (
     ShotRecord,
     canonical_sot,
     choi_matrix,
+    discard_prepare,
     estimate_ev,
     estimate_pdm,
     joint_distribution,
     light_touch_basis_qutrit,
     maximality_counterexample,
+    nonrepresentable_witness,
     pauli_basis,
     pdm_from_correlations,
     random_channel,
+    random_density,
     random_hermitian,
+    random_process,
     reconstruct_unique,
     representability_residual,
     sample_sequential,
@@ -61,6 +67,7 @@ from qsot.twotime import (
     light_touch_probes,
     sot_trace_value,
 )
+from qsot.verify import _special_case_residual, verify_theorems
 
 TOL = 1e-12
 KINDS = ("general", "light-touch", "scalar", "degenerate", "near-degenerate")
@@ -197,6 +204,68 @@ def ref_estimate_pdm(process, basis_A, basis_B, shots, seed):
     """``ref_expansion`` of the per-pair loop: one stream per pair."""
     return ref_expansion(process, basis_A, basis_B,
                          *ref_pair_estimates(process, basis_A, basis_B, shots, seed))
+
+
+def ref_worst_of_five(process, X, rng):
+    """max |<O_A, O_B> - Tr[X (O_A (x) O_B)]| over five pairs, O_A drawn before O_B."""
+    worst = 0.0
+    for _ in range(5):
+        O_A = Observable(random_hermitian(process.dim_in, rng))
+        O_B = Observable(random_hermitian(process.dim_out, rng))
+        worst = max(worst, abs(ref_two_time_ev(process, O_A, O_B) - ref_trace_value(X, O_A, O_B)))
+    return worst
+
+
+def ref_verify_theorems(dims, trials, seed):
+    """The ``verify theorems`` loop with one scalar value and trace per pair, as
+    (name, residual, tolerance, direction) claims, drawing from the seed in the
+    suite's order.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = [(a, b) for a in dims for b in dims]
+    worst_lt = worst_rec = worst_marg = 0.0
+    for dA, dB in pairs:
+        probes = light_touch_probes(dA, dB)
+        for _ in range(trials):
+            process = random_process(dA, dB, rng)
+            X = canonical_sot(process).matrix
+            worst_lt = max(worst_lt, ref_residual(process, X, probes))
+            rec = reconstruct_unique(process).matrix
+            worst_rec = max(worst_rec, float(np.linalg.norm(rec - X)))
+            O_A = Observable(random_hermitian(dA, rng))
+            O_B = Observable(random_hermitian(dB, rng))
+            evolved = apply(process.channel, process.rho)
+            worst_marg = max(
+                worst_marg,
+                abs(ref_two_time_ev(process, O_A, Observable(np.eye(dB)))
+                    - float(np.trace(process.rho @ O_A.matrix).real)),
+                abs(ref_two_time_ev(process, Observable(np.eye(dA)), O_B)
+                    - float(np.trace(evolved @ O_B.matrix).real)),
+            )
+    worst_mm = worst_dp = 0.0
+    for dA, dB in pairs:
+        for _ in range(trials):
+            chan = random_process(dA, dB, rng).channel
+            sigma = random_density(dB, rng)
+            rho = random_density(dA, rng)
+            mixed = Process(chan, np.eye(dA) / dA)
+            worst_mm = max(worst_mm, ref_worst_of_five(mixed, chan.jamiolkowski / dA, rng))
+            dp = Process(discard_prepare(sigma, dim_in=dA), rho)
+            worst_dp = max(worst_dp, ref_worst_of_five(dp, np.kron(rho, sigma), rng))
+    worst_gap = np.inf
+    for d in dims:
+        for _ in range(trials):
+            O_A = Observable(random_hermitian(d, rng))
+            if not O_A.is_light_touch:
+                worst_gap = min(worst_gap, maximality_counterexample(O_A)[2])
+    return [
+        ("light-touch trace formula (uniqueness theorem)", worst_lt, 1e-10, "max"),
+        ("reconstruction matches closed form", worst_rec, 1e-8, "max"),
+        ("one-time marginal identities", worst_marg, 1e-10, "max"),
+        ("maximally mixed input is representable", worst_mm, 1e-10, "max"),
+        ("discard-and-prepare is representable", worst_dp, 1e-10, "max"),
+        ("non-light-touch counterexample residual", worst_gap, 1e-6, "min"),
+    ]
 
 
 # ------------------------------------------------------------ instances
@@ -569,6 +638,40 @@ def test_maximality_scan_matches_scalar_scan(d):
         assert abs(dev - max(devs)) <= TOL
         best_dev = abs(ref_two_time_ev(process, O_A, best) - ref_trace_value(X, O_A, best))
         assert abs(best_dev - dev) <= TOL
+
+
+@pytest.mark.parametrize("seed", [0xC0FFEE, 5])
+def test_verify_theorems_matches_scalar_loop(seed):
+    report = verify_theorems(dims=(2, 3), trials=3, seed=seed)
+    want = ref_verify_theorems((2, 3), 3, seed)
+    assert [(c.name, c.tolerance, c.direction) for c in report.claims] == [
+        (name, tol, direction) for name, _, tol, direction in want]
+    for claim, (_, residual, tol, direction) in zip(report.claims, want):
+        assert abs(claim.residual - residual) <= TOL
+        assert claim.passed == (residual >= tol if direction == "min" else residual <= tol)
+    assert report.passed
+
+
+@pytest.mark.parametrize("dA, dB", [(2, 2), (2, 3), (3, 2), (4, 3)])
+def test_special_case_residual_judges_the_drawn_pairs(dA, dB):
+    # A general process is not representable by its canonical state over time, so the
+    # drawn pairs' worst deviation is far above roundoff and pins which pairs are judged.
+    process = make_process(np.random.default_rng(dA * 10 + dB), dA, dB, dA)
+    X = canonical_sot(process).matrix
+    got = _special_case_residual(process, X, np.random.default_rng(1))
+    want = ref_worst_of_five(process, X, np.random.default_rng(1))
+    assert want > 1e-3
+    assert abs(got - want) <= TOL
+
+
+@pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (2, 4), (4, 2), (5, 3)])
+def test_witness_gap_matches_three_scalar_values(m, n):
+    witness = nonrepresentable_witness(m, n)
+    process, O_B = witness.process, witness.O_B
+    gap = (two_time_ev(process, witness.O_A_diff, O_B) - two_time_ev(process, witness.O_A1, O_B)
+           + two_time_ev(process, witness.O_A2, O_B))
+    assert abs(witness.gap - gap) <= TOL
+    assert abs(witness.gap - 2.0) <= 1e-10
 
 
 def test_empty_grids():

@@ -6,36 +6,12 @@ from hypothesis import strategies as st
 from qsot import (
     DimensionMismatch,
     NotHermitian,
-    anticommutator,
     hermitian_eigendecomposition,
-    hs_inner,
     partial_trace,
     tensor,
 )
 from qsot.linalg import CLUSTER_RTOL
 from qsot.observables import PAULI
-
-
-def test_anticommutator_paulis():
-    assert np.allclose(anticommutator(PAULI[1], PAULI[2]), 0)
-    B = np.array([[1, 2j], [-2j, 5]])
-    assert np.allclose(anticommutator(np.eye(2), B), 2 * B)
-
-
-def test_anticommutator_hermitian_output():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        A = A + A.conj().T
-        B = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        B = B + B.conj().T
-        C = anticommutator(A, B)
-        assert np.linalg.norm(C - C.conj().T) < 1e-12
-
-
-def test_anticommutator_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        anticommutator(np.eye(2), np.eye(3))
 
 
 def test_tensor_sigma3_identity():
@@ -64,23 +40,6 @@ def test_tensor_index_convention():
             for b1 in range(3):
                 for b2 in range(3):
                     assert T[a1 * 3 + b1, a2 * 3 + b2] == A[a1, a2] * B[b1, b2]
-
-
-def test_hs_inner_paulis():
-    for a in range(4):
-        for b in range(4):
-            want = 2.0 if a == b else 0.0
-            assert np.isclose(hs_inner(PAULI[a], PAULI[b]), want)
-
-
-def test_hs_inner_positive_and_symmetric():
-    rng = np.random.default_rng(2)
-    A = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    B = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    self_inner = hs_inner(A, A)
-    assert self_inner.real >= 0
-    assert abs(self_inner.imag) < 1e-12
-    assert np.isclose(hs_inner(A, B), np.conj(hs_inner(B, A)))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 6, 9])

@@ -10,7 +10,6 @@ from qsot import (
     canonical_sot,
     classify_light_touch,
     hermitian_basis,
-    hs_inner,
     identity_channel,
     light_touch_basis_qutrit,
     light_touch_spanning_set,
@@ -215,7 +214,7 @@ def test_light_touch_basis_properties():
         cls = obs.classification
         assert cls.kind == "dichotomous"
         assert np.isclose(cls.value, 1.0)
-        assert np.isclose(hs_inner(obs.matrix, obs.matrix).real, 3.0)
+        assert np.isclose(np.vdot(obs.matrix, obs.matrix).real, 3.0)
 
 
 def test_gate_conjugation_generates_basis():
@@ -234,7 +233,7 @@ def test_d4_analogue_not_orthogonal():
     v = np.array([1.0, 2.0, 0.0, 0.0]) / np.sqrt(5)
     L_u = 2 * np.outer(u, u) - np.eye(4)
     L_v = 2 * np.outer(v, v) - np.eye(4)
-    assert np.isclose(hs_inner(L_u, L_v).real, 0.8)
+    assert np.isclose(np.vdot(L_u, L_v).real, 0.8)
 
 
 def test_spanning_set_d1():
