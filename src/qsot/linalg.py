@@ -90,23 +90,40 @@ def hermitian_eigendecomposition(H) -> SpectralDecomposition:
 
 def _decompose(H: np.ndarray) -> SpectralDecomposition:
     """``hermitian_eigendecomposition`` of a matrix already checked hermitian."""
+    eigenvalues, projectors, _, norms = _spectra(H[None])
+    return SpectralDecomposition(dim=H.shape[0], eigenvalues=eigenvalues, projectors=projectors,
+                                 norm=float(norms[0]))
+
+
+def _spectra(H: np.ndarray) -> tuple:
+    """The clustered spectra of a stack H of n hermitian matrices, from one batched ``eigh``.
+
+    Returns the cluster eigenvalues and projectors of every row, row k's at
+    ``starts[k]:starts[k + 1]``, with the n + 1 ``starts`` and the n spectral norms; the
+    clustering is that of ``hermitian_eigendecomposition``, and every array is read-only.
+    Cluster starts are found for all rows at once; each cluster's mean and projector
+    product stay one call each, as their batched forms sum in another order.
+    """
     try:
         w, V = np.linalg.eigh(H)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"eigensolver failed: {exc}") from exc
-    norm = float(np.max(np.abs(w), initial=0.0))
-    gap = CLUSTER_RTOL * norm
-    clusters = []
-    start = 0
-    for k in range(1, len(w) + 1):
-        if k == len(w) or w[k] - w[k - 1] > gap:
-            clusters.append(slice(start, k))
-            start = k
-    eigenvalues = np.array([float(np.mean(w[s])) for s in clusters])
-    projectors = np.array([V[:, s] @ V[:, s].conj().T for s in clusters])
-    projectors.flags.writeable = False
-    return SpectralDecomposition(dim=H.shape[0], eigenvalues=eigenvalues, projectors=projectors,
-                                 norm=norm)
+    n, d = w.shape
+    norms = np.max(np.abs(w), axis=1, initial=0.0)
+    cut = np.ones((n, d), dtype=bool)  # cut[k, i]: a cluster of row k starts at w[k, i]
+    cut[:, 1:] = np.diff(w, axis=1) > CLUSTER_RTOL * norms[:, None]
+    flat = np.flatnonzero(cut)
+    eigenvalues = np.empty(len(flat))
+    projectors = np.empty((len(flat), d, d), dtype=complex)
+    rows, firsts = np.divmod(flat, d)
+    ends = np.append(flat[1:], n * d) - rows * d  # where the next cluster begins, or d
+    for c, (k, i, j) in enumerate(zip(rows.tolist(), firsts.tolist(), ends.tolist())):
+        eigenvalues[c] = np.mean(w[k, i:j])
+        projectors[c] = V[k, :, i:j] @ V[k, :, i:j].conj().T
+    starts = np.concatenate([[0], np.cumsum(cut.sum(axis=1))])
+    for M in (eigenvalues, projectors, starts, norms):
+        M.flags.writeable = False
+    return eigenvalues, projectors, starts, norms
 
 
 def tensor(A, B) -> np.ndarray:

@@ -74,7 +74,7 @@ class Observable:
     @property
     def classification(self) -> Classification:
         if "classification" not in self._cache:
-            self._cache["classification"] = _classify(self.spectral)
+            self._cache["classification"] = _classify(self.spectral.eigenvalues)
         return self._cache["classification"]
 
     @property
@@ -87,12 +87,11 @@ def classify_light_touch(O) -> Classification:
 
     The zero matrix classifies as scalar with value 0.
     """
-    return _classify(hermitian_eigendecomposition(O))
+    return _classify(hermitian_eigendecomposition(O).eigenvalues)
 
 
-def _classify(dec: SpectralDecomposition) -> Classification:
+def _classify(lams: np.ndarray) -> Classification:
     # Two clusters are dichotomous when their eigenvalues cancel within the clustering rule.
-    lams = dec.eigenvalues
     if len(lams) == 1:
         return Classification("scalar", float(lams[0]))
     if len(lams) == 2 and abs(lams[0] + lams[1]) <= CLUSTER_RTOL * float(np.max(np.abs(lams))):

@@ -138,8 +138,8 @@ def maximality_counterexample(O_A: Observable):
     nonzero (such a pair always exists), superpose one eigenvector from each
     into a pure state, evolve under the identity channel, and scan an
     orthonormal hermitian basis for the second observable maximizing
-    |<O_A, O_B> - Tr[(E * rho)(O_A (x) O_B)]|. Pair sums and the residual are
-    judged relative to max|lam|, so a rescaled O_A gives the rescaled residual.
+    |<O_A, O_B> - Tr[(E * rho)(O_A (x) O_B)]|. Pair sums, the scan's tie slack and the
+    residual are judged relative to max|lam|, so a rescaled O_A gives the rescaled residual.
     """
     if O_A.is_light_touch:
         raise IsLightTouch("light-touch observables admit no counterexample")
@@ -167,7 +167,7 @@ def maximality_counterexample(O_A: Observable):
     best = None
     best_dev = -1.0
     for B, dev in zip(basis, devs.tolist()):
-        if dev > best_dev + 1e-15:
+        if dev > best_dev + 1e-15 * scale:
             best, best_dev = B, dev
     floor = COUNTEREXAMPLE_RTOL * scale
     if best_dev <= floor:

@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import Process, isometry_embed, random_hermitian
 from .errors import DimensionMismatch, InvalidParameter, NumericalFailure, SingularSystem
-from .linalg import PROB_NEG_LIMIT, PROB_SUM_TOL
-from .observables import Observable, hermitian_basis, light_touch_spanning_set
+from .linalg import PROB_NEG_LIMIT, PROB_SUM_TOL, _spectra
+from .observables import Observable, _classify, hermitian_basis, light_touch_spanning_set
 
 
 @dataclass(frozen=True)
@@ -31,32 +29,22 @@ class JointDistribution:
     probs: np.ndarray = field(repr=False)
 
 
-_MEMO_SIZE = 16  # basis records kept by ``_basis``; the least recently used goes first
-_MEMO: OrderedDict = OrderedDict()
-_MEMO_LOCK = threading.Lock()  # a lookup, insertion and eviction act as one step
-
-
 class _Basis:
     """What the kernel reads of one list of observables, built once per content.
 
     ``stack`` is the (n, dim, dim) matrix stack, a read-only view of the memo key's
-    bytes. ``eigenvalues`` and ``projectors`` concatenate the clusters of every
-    observable's spectral decomposition, observable k's at ``starts[k]:starts[k + 1]``;
-    ``norms`` are the spectral norms, and ``light_touch`` says whether every observable
-    is light-touch. The dual frame is built on first use.
+    bytes. ``eigenvalues`` and ``projectors`` are the clusters of the whole stack from
+    one ``linalg._spectra``, observable k's at ``starts[k]:starts[k + 1]``; ``norms``
+    are the spectral norms, and ``light_touch`` says whether every observable is
+    light-touch. No observable is decomposed, so no projector is stored twice. The dual
+    frame is built on first use.
     """
 
-    def __init__(self, data: bytes, dim: int, observables):
-        decs = [obs.spectral for obs in observables]
+    def __init__(self, data: bytes, dim: int):
         self.stack = np.frombuffer(data, dtype=complex).reshape(-1, dim, dim)
-        self.starts = np.cumsum([0] + [len(dec.eigenvalues) for dec in decs])
-        self.eigenvalues = np.concatenate([np.zeros(0)] + [dec.eigenvalues for dec in decs])
-        self.projectors = np.concatenate([np.zeros((0, dim, dim), dtype=complex)]
-                                         + [dec.projectors for dec in decs])
-        self.norms = np.array([dec.norm for dec in decs])
-        self.light_touch = all(obs.is_light_touch for obs in observables)
-        for M in (self.starts, self.eigenvalues, self.projectors, self.norms):
-            M.flags.writeable = False
+        self.eigenvalues, self.projectors, self.starts, self.norms = _spectra(self.stack)
+        self.light_touch = all(_classify(self.eigenvalues[i:j]).is_light_touch
+                               for i, j in zip(self.starts[:-1], self.starts[1:]))
 
     @functools.cached_property
     def frame(self) -> tuple:
@@ -85,26 +73,21 @@ class _Basis:
         return dual, float(w[-1] / w[0]), norms
 
 
+_record = functools.lru_cache(maxsize=16)(_Basis)  # the 16 most recently used records
+
+
 def _basis(observables, dim: int, label: str = "frame element",
            target: str = "dimension") -> _Basis:
     """The record of a list of observables, each of which must have dimension dim.
 
-    Records are kept in a bounded LRU memo keyed on (dim, the stack's bytes), so equal
-    lists built apart share one record, and a changed or rescaled list gets its own.
+    Records are kept in a bounded LRU memo (``_record``) keyed on (the stack's bytes,
+    dim), so equal lists built apart share one record, and a changed or rescaled list
+    gets its own. Records are immutable: two threads may build one twice, harmlessly.
     """
     for obs in observables:
         if obs.dim != dim:
             raise DimensionMismatch(f"{label} dim {obs.dim} != {target} {dim}")
-    key = (dim, np.array([obs.matrix for obs in observables], dtype=complex).tobytes())
-    with _MEMO_LOCK:
-        record = _MEMO.get(key)
-        if record is None:
-            record = _MEMO[key] = _Basis(key[1], dim, observables)
-            if len(_MEMO) > _MEMO_SIZE:
-                _MEMO.popitem(last=False)
-        else:
-            _MEMO.move_to_end(key)
-    return record
+    return _record(np.array([obs.matrix for obs in observables], dtype=complex).tobytes(), dim)
 
 
 def _records(process: Process, As, Bs) -> tuple:
@@ -200,14 +183,13 @@ def _joint_table(process: Process, A: _Basis, B: _Basis) -> np.ndarray:
 
 def joint_distribution(process: Process, O_A: Observable, O_B: Observable) -> JointDistribution:
     """P(i, j) = Tr[E(P_i rho P_i) Q_j] over distinct-eigenvalue projectors."""
-    probs = _joint_table(process, *_records(process, [O_A], [O_B]))
+    A, B = _records(process, [O_A], [O_B])
+    probs = _joint_table(process, A, B)
     total = probs.sum()
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise NumericalFailure(f"joint distribution sums to {total}")
-    return JointDistribution(
-        outcomes_A=O_A.spectral.eigenvalues.copy(), outcomes_B=O_B.spectral.eigenvalues.copy(),
-        probs=probs,
-    )
+    return JointDistribution(outcomes_A=A.eigenvalues.copy(), outcomes_B=B.eigenvalues.copy(),
+                             probs=probs)
 
 
 def two_time_ev(process: Process, O_A: Observable, O_B: Observable) -> float:
@@ -221,14 +203,16 @@ def sot_trace_value(X: np.ndarray, O_A: Observable, O_B: Observable) -> float:
 
 
 def _unique(observables) -> tuple:
-    """The distinct observables by identity, and each input's index among them.
+    """The distinct observables by identity, in order of first appearance, and each
+    input's index among them.
 
-    One sort of the ids groups the repeats, with no per-element branch; the
-    distinct observables come out in id order, which no caller depends on.
+    One sort of the ids groups the repeats, with no per-element branch. In first-appearance
+    order a list with no repeats is its own distinct list, so shares its record.
     """
     ids = np.fromiter(map(id, observables), dtype=np.intp, count=len(observables))
     _, first, index = np.unique(ids, return_index=True, return_inverse=True)
-    return [observables[i] for i in first.tolist()], index
+    order = first.argsort()  # its argsort, the inverse permutation, renumbers the groups
+    return [observables[i] for i in first[order].tolist()], order.argsort()[index]
 
 
 def representability_residual(process: Process, X, probes) -> float:
@@ -256,8 +240,8 @@ def representability_residual(process: Process, X, probes) -> float:
 def _frames(d: int) -> tuple:
     """Per dimension: the light-touch spanning set and the hermitian basis.
 
-    Shared by ``light_touch_probes`` and ``reconstruct_unique``; caching the
-    observables keeps their spectral decompositions too.
+    Shared by ``light_touch_probes`` and ``reconstruct_unique``, whose calls then
+    read the same two basis records.
     """
     return tuple(light_touch_spanning_set(d)), tuple(hermitian_basis(d))
 

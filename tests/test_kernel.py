@@ -1,6 +1,7 @@
 """The batched two-time kernel against the per-pair loops it replaced.
 
-The ``ref_*`` functions are those loops, kept slow and obvious: one Kraus
+The ``ref_*`` functions are those loops, kept slow and obvious: one ``eigh``
+and one clustering loop per matrix for the spectra of a basis record, one Kraus
 application per eigenprojector and probe pair, one ``np.kron`` per trace,
 one outer product per Kraus operator for the Choi matrix, the anticommutator
 with the Kronecker-lifted state for the canonical state over time,
@@ -17,6 +18,8 @@ each pair on its own.
 
 import functools
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -55,14 +58,14 @@ from qsot import (
 )
 from qsot import sampler
 from qsot.channels import apply
+from qsot.linalg import CLUSTER_RTOL, _decompose, _spectra
 from qsot.observables import gram_matrix, hermitian_basis, light_touch_spanning_set
 from qsot.sampler import _rng
-from qsot import twotime
 from qsot.twotime import (
-    _MEMO_SIZE,
     _basis,
     _frames,
     _joint_table,
+    _record,
     _records,
     light_touch_probes,
     sot_trace_value,
@@ -76,6 +79,21 @@ FAST = settings(max_examples=25, deadline=None, derandomize=True,
 
 
 # ------------------------------------------------------------ references
+
+def ref_decompose(H):
+    """One matrix's clusters, eigenvalue means and projectors, and its spectral norm."""
+    w, V = np.linalg.eigh(H)
+    norm = float(np.max(np.abs(w), initial=0.0))
+    gap = CLUSTER_RTOL * norm
+    clusters = []
+    start = 0
+    for k in range(1, len(w) + 1):
+        if k == len(w) or w[k] - w[k - 1] > gap:
+            clusters.append(slice(start, k))
+            start = k
+    eigenvalues = np.array([float(np.mean(w[s])) for s in clusters])
+    projectors = np.array([V[:, s] @ V[:, s].conj().T for s in clusters])
+    return eigenvalues, projectors, norm
 
 def ref_two_time_ev(process, O_A, O_B):
     dec = O_A.spectral
@@ -743,20 +761,20 @@ def test_cold_and_warm_calls_agree_bit_for_bit():
         "estimate_pdm": sampled,
     }
     for name, call in calls.items():
-        twotime._MEMO.clear()
+        _record.cache_clear()
         cold = call()
-        assert twotime._MEMO, name
+        assert _record.cache_info().currsize, name
         warm = call()
         assert all(np.array_equal(c, w) for c, w in zip(cold, warm)), name
 
 
 def test_equal_lists_share_one_record_and_any_other_content_gets_its_own():
-    twotime._MEMO.clear()
+    _record.cache_clear()
     record = _basis(pauli_basis(1), 2)
     assert _basis(pauli_basis(1), 2) is record
-    assert len(twotime._MEMO) == 1
+    assert _record.cache_info().currsize == 1
     rescaled = _basis([Observable(2 * P.matrix) for P in pauli_basis(1)], 2)
-    assert rescaled is not record and len(twotime._MEMO) == 2
+    assert rescaled is not record and _record.cache_info().currsize == 2
     assert np.array_equal(rescaled.stack, 2 * record.stack)
     assert np.array_equal(rescaled.norms, 2 * record.norms)
     assert np.array_equal(rescaled.frame[0], record.frame[0] / 2)
@@ -770,25 +788,26 @@ def test_equal_lists_share_one_record_and_any_other_content_gets_its_own():
 
 
 def test_memo_keeps_the_most_recently_used_records_within_its_bound():
-    twotime._MEMO.clear()
+    _record.cache_clear()
+    size = _record.cache_info().maxsize
     rng = np.random.default_rng(13)
 
     def new_list():
         return [make_observable(rng, 2, "general") for _ in range(3)]
 
-    first = new_list()
+    first, second_list = new_list(), new_list()
     record = _basis(first, 2)
-    second = _basis(new_list(), 2)
-    for _ in range(_MEMO_SIZE - 2):
+    second = _basis(second_list, 2)
+    for _ in range(size - 2):
         _basis(new_list(), 2)
-    assert len(twotime._MEMO) == _MEMO_SIZE
+    assert _record.cache_info().currsize == size
     assert _basis(first, 2) is record  # used again: the oldest is now the second list
     _basis(new_list(), 2)
-    assert len(twotime._MEMO) == _MEMO_SIZE
-    assert _basis(first, 2) is record and second not in twotime._MEMO.values()
-    for _ in range(_MEMO_SIZE + 5):
+    assert _record.cache_info().currsize == size
+    assert _basis(first, 2) is record and _basis(second_list, 2) is not second
+    for _ in range(size + 5):
         _basis(new_list(), 2)
-        assert len(twotime._MEMO) <= _MEMO_SIZE
+        assert _record.cache_info().currsize <= size
     # Evicted, the first list gets a new record equal to the old one.
     again = _basis(first, 2)
     assert again is not record
@@ -796,7 +815,7 @@ def test_memo_keeps_the_most_recently_used_records_within_its_bound():
 
 
 def test_record_arrays_are_read_only():
-    twotime._MEMO.clear()
+    _record.cache_clear()
     record = _basis(light_touch_spanning_set(3), 3)
     dual, _, norms = record.frame
     for M in (record.stack, record.eigenvalues, record.projectors, record.starts,
@@ -831,3 +850,125 @@ def test_light_touch_probes_share_the_frame_cache():
     for obs in (probes[1], basis[2], basis_2[0]):
         with pytest.raises(ValueError):
             obs.matrix[0, 0] = 1.0
+
+
+STACKS = ("empty", "spanning", "hermitian", "pauli", "sic", "general", "degenerate",
+          "rank-deficient", "chain")
+
+
+def spectra_stack(rng, d, kind):
+    """A stack of hermitian d x d matrices of one kind; "pauli" and "sic" fix their own d."""
+    if kind == "empty":
+        return np.zeros((0, d, d), dtype=complex)
+    if kind == "spanning":
+        return np.array([L.matrix for L in light_touch_spanning_set(d)])
+    if kind == "hermitian":
+        return np.array([H.matrix for H in hermitian_basis(d)])
+    if kind == "pauli":  # d = 2, 4 or 8
+        return np.array([P.matrix for P in pauli_basis(min(max(d.bit_length() - 1, 1), 3))])
+    if kind == "sic":
+        povm = sic_povm(sic_fiducial_w(rng.uniform(0.0, 2 * np.pi)))
+        return np.array([L.matrix for L in light_touch_basis_qutrit(povm)])
+    if kind == "general":
+        return np.array([random_hermitian(d, rng) for _ in range(5)])
+    mats = []
+    for _ in range(5):
+        if kind == "degenerate":
+            values = rng.standard_normal(3)[rng.integers(0, 3, d)]
+        elif kind == "rank-deficient":
+            values = rng.standard_normal(d) * (rng.random(d) < 0.5)
+        else:  # gaps just below, at and just above CLUSTER_RTOL max|eigenvalue|, chained
+            steps = rng.choice([0.5, 0.99, 1.01, 2.0], d - 1) * CLUSTER_RTOL
+            values = 1.0 + np.concatenate([[0.0], np.cumsum(steps)])
+        U = unitary(rng, d)
+        mats.append(U @ np.diag(values) @ U.conj().T)
+    return np.array(mats)
+
+
+@FAST
+@given(seed=seeds, d=st.integers(1, 12), kind=st.sampled_from(STACKS),
+       scale=st.sampled_from([1e-200, 1e-8, 1.0, 1e8, 1e200]))
+@example(seed=0, d=12, kind="spanning", scale=1.0)
+@example(seed=1, d=12, kind="chain", scale=1e200)
+@example(seed=2, d=3, kind="sic", scale=1e-200)
+@example(seed=3, d=7, kind="degenerate", scale=1.0)
+@example(seed=4, d=5, kind="empty", scale=1.0)
+def test_batched_spectra_match_the_per_matrix_loop(seed, d, kind, scale):
+    stack = scale * spectra_stack(np.random.default_rng(seed), d, kind)
+    eigenvalues, projectors, starts, norms = _spectra(stack)
+    refs = [ref_decompose(H) for H in stack]
+    dim = stack.shape[1]
+    assert np.array_equal(starts, np.cumsum([0] + [len(w) for w, _, _ in refs]))
+    assert np.array_equal(eigenvalues, np.concatenate([np.zeros(0)] + [w for w, _, _ in refs]))
+    assert np.array_equal(projectors, np.concatenate([np.zeros((0, dim, dim))]
+                                                     + [P for _, P, _ in refs]))
+    assert np.array_equal(norms, [norm for _, _, norm in refs])
+    for M in (eigenvalues, projectors, starts, norms):
+        assert not M.flags.writeable
+    if len(stack):  # the one-row case is the decomposition of an observable
+        dec = _decompose(stack[-1])
+        w, P, norm = refs[-1]
+        assert np.array_equal(dec.eigenvalues, w) and np.array_equal(dec.projectors, P)
+        assert dec.norm == norm
+
+
+def test_light_touch_residual_and_reconstruction_share_one_record_per_frame():
+    # The residual's distinct observables come in first-appearance order, so its two
+    # lists are the frames ``reconstruct_unique`` reads; in id order they were copies.
+    process = make_process(np.random.default_rng(14), 3, 2, 2)
+    _record.cache_clear()
+    reconstruct_unique(process)
+    representability_residual(process, canonical_sot(process).matrix, light_touch_probes(3, 2))
+    assert _record.cache_info().currsize == 2
+
+
+def test_building_a_record_decomposes_no_member():
+    rng = np.random.default_rng(15)
+    members = observables(rng, 4, KINDS)
+    _record.cache_clear()
+    record = _basis(members, 4)
+    assert not any("spectral" in obs._cache for obs in members)
+    assert not record.light_touch
+    for k, obs in enumerate(members):
+        cut = slice(record.starts[k], record.starts[k + 1])
+        assert np.array_equal(record.eigenvalues[cut], obs.spectral.eigenvalues)
+        assert np.array_equal(record.projectors[cut], obs.spectral.projectors)
+        assert record.norms[k] == obs.spectral.norm
+    assert _basis(members[1:3], 4).light_touch  # light-touch and scalar
+
+
+def test_empty_list_record_is_light_touch():
+    assert _basis([], 3).light_touch is True
+    assert _basis([], 3).stack.shape == (0, 3, 3)
+
+
+def test_threads_sharing_the_memo_each_get_the_record_of_their_own_list():
+    # The memo has no lock of its own: a record is immutable, so a race may build it twice
+    # but never hand a thread another list's record or grow the memo past its bound.
+    rng = np.random.default_rng(16)
+    lists = [[make_observable(rng, 2, "general") for _ in range(3)] for _ in range(24)]
+    bad = []
+
+    def work(t):
+        try:
+            for k in range(150):
+                members = lists[(7 * t + k) % len(lists)]
+                if not np.array_equal(_basis(members, 2).stack, [M.matrix for M in members]):
+                    bad.append((t, k))
+        except Exception as exc:  # a thread's exception is otherwise lost
+            bad.append(exc)
+
+    _record.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not bad
+    assert _record.cache_info().currsize <= _record.cache_info().maxsize

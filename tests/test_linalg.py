@@ -113,6 +113,14 @@ def test_eigendecomposition_merges_degenerate_clusters():
     assert dec.eigenvalues[0] < dec.eigenvalues[1]
 
 
+def test_eigendecomposition_arrays_are_read_only():
+    # An observable caches its decomposition, so a write would change it for every caller.
+    dec = hermitian_eigendecomposition(np.diag([1.0, -1.0]))
+    for M in (dec.eigenvalues, dec.projectors):
+        with pytest.raises(ValueError):
+            M.flat[0] = 2.0
+
+
 def test_eigendecomposition_rejects_nonhermitian():
     with pytest.raises(NotHermitian):
         hermitian_eigendecomposition(np.array([[0, 1], [0, 0]]))

@@ -143,6 +143,8 @@ def test_rescaled_nilpotent_is_not_hermitian(exponent):
 @example(exponent=-6.0)
 @example(exponent=-9.0)
 @example(exponent=-12.0)
+@example(exponent=-15.0)  # the scan's tie slack must shrink with the observable
+@example(exponent=-20.0)
 def test_maximality_residual_scales_with_the_observable(exponent):
     s = 10.0**exponent
     _, _, residual = maximality_counterexample(Observable(s * np.diag([2.0, 0.0, -1.0])))
