@@ -23,6 +23,7 @@ import numpy as np  # noqa: E402
 
 from . import io  # noqa: E402
 from .errors import InvalidParameter, NumericalFailure, ParameterOutOfRange, QsotError  # noqa: E402
+from .linalg import SAMPLE_RTOL, SAMPLE_SIGMAS  # noqa: E402
 from .observables import (  # noqa: E402
     hermitian_basis,
     light_touch_basis_qutrit,
@@ -33,7 +34,7 @@ from .observables import (  # noqa: E402
     sic_povm,
 )
 from .sot import canonical_sot, reconstruct_unique  # noqa: E402
-from .twotime import two_time_ev  # noqa: E402
+from .twotime import joint_distribution, two_time_ev  # noqa: E402
 
 
 def _lazy_submodule(name: str):
@@ -179,28 +180,34 @@ def cmd_sample(args) -> int:
     O_A = io.observable_from_payload(pa)
     O_B = io.observable_from_payload(pb)
     record = sampler.sample_sequential(process, O_A, O_B, args.shots, args.seed)
+    joint = joint_distribution(process, O_A, O_B)
     with np.errstate(over="ignore", invalid="ignore"):  # judged below, not warned about
-        mean, stderr = sampler.estimate_ev(record, O_A.spectral.eigenvalues,
-                                           O_B.spectral.eigenvalues)
+        mean, stderr = sampler.estimate_ev(record, joint.outcomes_A, joint.outcomes_B)
         exact = two_time_ev(process, O_A, O_B)
-    if not all(map(math.isfinite, (mean, stderr, exact))):
+        products = np.outer(joint.outcomes_A, joint.outcomes_B)
+        # The standard error of a mean of n draws from P: the sample's is 0 at one shot.
+        exact_stderr = math.sqrt(float(np.sum(joint.probs * (products - exact) ** 2)) / args.shots)
+    if not all(map(math.isfinite, (mean, stderr, exact, exact_stderr))):
         raise NumericalFailure("outcome products overflow the float range")
+    passed = abs(mean - exact) <= (SAMPLE_SIGMAS * exact_stderr
+                                   + SAMPLE_RTOL * float(np.abs(products).max()))
     doc = io.envelope(
         "report",
         {
             "shots": record.shots,
             "seed": record.seed,
-            "outcomes_A": [float(x) for x in O_A.spectral.eigenvalues],
-            "outcomes_B": [float(x) for x in O_B.spectral.eigenvalues],
+            "outcomes_A": [float(x) for x in joint.outcomes_A],
+            "outcomes_B": [float(x) for x in joint.outcomes_B],
             "counts": [[int(c) for c in row] for row in record.counts],
             "estimate": mean,
             "stderr": stderr,
             "exact": exact,
-            "passed": True,
+            "exact_stderr": exact_stderr,
+            "passed": passed,
         },
     )
     _emit(doc, args)
-    return EXIT_OK
+    return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
 def _light_touch_basis(d: int):

@@ -31,6 +31,8 @@ SIC_ANGLE_TOL = 1e-10  # absolute: |theta - a| in radians from the nearest V-fam
 WEIGHT_CUT = 1e-15  # absolute: prepared-state eigenvalues at or below it get no Kraus operators
 COUNTEREXAMPLE_RTOL = 1e-6  # relative: the least maximality-counterexample residual,
 #                             against max |eigenvalue| of the first observable
+SAMPLE_SIGMAS = 5  # a sampled two-time value passes within this many exact standard errors
+SAMPLE_RTOL = 1e-10  # relative: the roundoff floor added to that bound, against max |lam_i mu_j|
 
 
 def as_matrix(M) -> np.ndarray:

@@ -7,6 +7,7 @@ to arbitrary dimension.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -59,23 +60,18 @@ class Observable:
         M = np.array(check_hermitian(self.matrix))
         M.flags.writeable = False
         object.__setattr__(self, "matrix", M)
-        object.__setattr__(self, "_cache", {})
 
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    @property
+    @functools.cached_property
     def spectral(self) -> SpectralDecomposition:
-        if "spectral" not in self._cache:
-            self._cache["spectral"] = _decompose(self.matrix)
-        return self._cache["spectral"]
+        return _decompose(self.matrix)
 
-    @property
+    @functools.cached_property
     def classification(self) -> Classification:
-        if "classification" not in self._cache:
-            self._cache["classification"] = _classify(self.spectral.eigenvalues)
-        return self._cache["classification"]
+        return _classify(self.spectral.eigenvalues)
 
     @property
     def is_light_touch(self) -> bool:

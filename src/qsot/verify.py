@@ -7,6 +7,7 @@ against a fixed tolerance, and reports pass/fail. Suites back the CLI's
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,9 +34,10 @@ from .twotime import (
     light_touch_probes,
     nonrepresentable_witness,
     representability_residual,
-    trace_grid,
     two_time_grid,
 )
+
+NOGO_DIM_PAIRS = ((2, 2), (3, 3), (2, 4), (4, 2))  # the (m, n) of each no-go witness
 
 
 @dataclass(frozen=True)
@@ -71,22 +73,6 @@ def _tol(override: float | None, default: float) -> float:
     return default if override is None else override
 
 
-def _dim_pairs(dims):
-    return [(a, b) for a in dims for b in dims]
-
-
-def _special_case_residual(process: Process, X: np.ndarray, rng) -> float:
-    """max |<O_A, O_B> - Tr[X (O_A (x) O_B)]| over five random pairs, O_A drawn before O_B.
-
-    Both grids are 5x5; only their diagonal, the five drawn pairs, is judged.
-    """
-    As, Bs = [], []
-    for _ in range(5):
-        As.append(Observable(random_hermitian(process.dim_in, rng)))
-        Bs.append(Observable(random_hermitian(process.dim_out, rng)))
-    return float(np.abs(np.diag(two_time_grid(process, As, Bs) - trace_grid(X, As, Bs))).max())
-
-
 def verify_theorems(dims=(2, 3), trials: int = 25, seed: int = 0xC0FFEE,
                     tol: float | None = None) -> SuiteReport:
     """Uniqueness/trace-formula, special-case, marginal, and maximality checks."""
@@ -94,7 +80,7 @@ def verify_theorems(dims=(2, 3), trials: int = 25, seed: int = 0xC0FFEE,
     report = SuiteReport(suite="theorems", seed=seed)
 
     worst_lt = worst_rec = worst_marg = 0.0
-    for dA, dB in _dim_pairs(dims):
+    for dA, dB in itertools.product(dims, repeat=2):
         probes = light_touch_probes(dA, dB)
         for _ in range(trials):
             process = random_process(dA, dB, rng)
@@ -120,15 +106,19 @@ def verify_theorems(dims=(2, 3), trials: int = 25, seed: int = 0xC0FFEE,
 
     # Special-case bilinearity: maximally mixed input and discard-and-prepare.
     worst_mm = worst_dp = 0.0
-    for dA, dB in _dim_pairs(dims):
+    for dA, dB in itertools.product(dims, repeat=2):
         for _ in range(trials):
             chan = random_process(dA, dB, rng).channel
             mixed = Process(chan, np.eye(dA) / dA)
             sigma = random_density(dB, rng)
             rho = random_density(dA, rng)
-            worst_mm = max(worst_mm, _special_case_residual(mixed, chan.jamiolkowski / dA, rng))
             dp = Process(discard_prepare(sigma, dim_in=dA), rho)
-            worst_dp = max(worst_dp, _special_case_residual(dp, np.kron(rho, sigma), rng))
+            # Five random pairs per case, O_A drawn before O_B.
+            pairs = [(Observable(random_hermitian(dA, rng)), Observable(random_hermitian(dB, rng)))
+                     for _ in range(10)]
+            worst_mm = max(worst_mm,
+                           representability_residual(mixed, chan.jamiolkowski / dA, pairs[:5]))
+            worst_dp = max(worst_dp, representability_residual(dp, np.kron(rho, sigma), pairs[5:]))
     report.add("maximally mixed input is representable", worst_mm, _tol(tol, 1e-10))
     report.add("discard-and-prepare is representable", worst_dp, _tol(tol, 1e-10))
 
@@ -146,15 +136,14 @@ def verify_theorems(dims=(2, 3), trials: int = 25, seed: int = 0xC0FFEE,
     return report
 
 
-def verify_nogo(dim_pairs=((2, 2), (3, 3), (2, 4), (4, 2)), seed: int = 0xC0FFEE,
-                tol: float | None = None) -> SuiteReport:
+def verify_nogo(seed: int = 0xC0FFEE, tol: float | None = None) -> SuiteReport:
     """Constructed witness: exact nonlinearity gap, light-touch vs general residuals."""
     rng = np.random.default_rng(seed)
     report = SuiteReport(suite="nogo", seed=seed)
     worst_gap_dev = 0.0
     worst_lt = 0.0
     min_general = np.inf
-    for m, n in dim_pairs:
+    for m, n in NOGO_DIM_PAIRS:
         witness = nonrepresentable_witness(m, n)
         worst_gap_dev = max(worst_gap_dev, abs(witness.gap - 2.0))
         X = canonical_sot(witness.process).matrix

@@ -141,15 +141,61 @@ def test_sample_deterministic_case(tmp_path):
     proc_file = write_process(tmp_path, Process(identity_channel(2), np.diag([1.0, 0.0])))
     obs_file = write_observable(tmp_path, PAULI[3], "sz.json")
     out = tmp_path / "sample.json"
-    code = main(
-        ["sample", proc_file, obs_file, obs_file, "--shots", "500", "--out", str(out)]
-    )
-    assert code == 0
-    _, payload = io.load_document(str(out), expect_kind="report")
-    counts = np.array(payload["counts"])
-    assert counts[1, 1] == 500
-    assert payload["estimate"] == 1.0
-    assert np.isclose(payload["exact"], 1.0)
+    for shots in (500, 1):
+        code = main(
+            ["sample", proc_file, obs_file, obs_file, "--shots", str(shots), "--out", str(out)]
+        )
+        assert code == 0
+        _, payload = io.load_document(str(out), expect_kind="report")
+        counts = np.array(payload["counts"])
+        assert counts[1, 1] == shots
+        assert payload["estimate"] == 1.0
+        assert np.isclose(payload["exact"], 1.0)
+        assert payload["passed"] is True and payload["exact_stderr"] <= 1e-15
+
+
+def _sample(tmp_path, rho, O_A, O_B, shots, seed=0):
+    """Exit code and report of ``qsot sample`` of O_A then O_B on the qubit identity channel."""
+    proc_file = write_process(tmp_path, Process(identity_channel(2), rho))
+    oa = write_observable(tmp_path, O_A, "oa.json")
+    ob = write_observable(tmp_path, O_B, "ob.json")
+    out = tmp_path / "sample.json"
+    code = main(["sample", proc_file, oa, ob, "--shots", str(shots), "--seed", str(seed),
+                 "--out", str(out)])
+    return code, io.load_document(str(out), expect_kind="report")[1]
+
+
+@pytest.mark.parametrize("shots", [1, 2**62])
+def test_sample_of_a_random_outcome_is_judged_on_the_exact_stderr(tmp_path, shots):
+    # Z then X on |0>: the product is +1 or -1 with probability 1/2 each, so exact = 0 and
+    # sigma = 1 / sqrt(shots), while the sample stderr of one shot is 0.
+    code, payload = _sample(tmp_path, np.diag([1.0, 0.0]), PAULI[3], PAULI[1], shots, seed=3)
+    assert code == 0 and payload["passed"] is True
+    assert sum(map(sum, payload["counts"])) == shots
+    assert abs(payload["exact"]) <= 1e-15
+    assert payload["exact_stderr"] == pytest.approx(shots ** -0.5, rel=1e-12)
+    assert shots > 1 or payload["stderr"] == 0.0
+
+
+def test_sample_of_a_rotated_deterministic_outcome_passes_on_the_floor(tmp_path):
+    # Z then Z on |0>, all in a rotated basis: every shot gives the product lam mu, which
+    # misses exact by roundoff, and sigma is that miss over sqrt(shots), so only the
+    # roundoff floor passes it.
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    Z = Q @ PAULI[3] @ Q.conj().T
+    code, payload = _sample(tmp_path, Q @ np.diag([1.0, 0.0]) @ Q.conj().T, Z, Z, 10000)
+    assert code == 0 and payload["passed"] is True
+    assert 5 * payload["exact_stderr"] < abs(payload["estimate"] - payload["exact"]) <= 1e-14
+
+
+def test_sample_with_a_wrong_exact_value_fails(tmp_path, monkeypatch):
+    from qsot import cli
+
+    monkeypatch.setattr(cli, "two_time_ev", lambda *args: 0.5)  # the true value is 0
+    code, payload = _sample(tmp_path, np.diag([1.0, 0.0]), PAULI[3], PAULI[1], 1000)
+    assert code == 1
+    assert payload["passed"] is False and payload["exact"] == 0.5
 
 
 def test_sample_rejects_zero_shots(tmp_path):

@@ -70,7 +70,8 @@ from qsot.twotime import (
     light_touch_probes,
     sot_trace_value,
 )
-from qsot.verify import _special_case_residual, verify_theorems
+from qsot import verify
+from qsot.verify import verify_theorems
 
 TOL = 1e-12
 KINDS = ("general", "light-touch", "scalar", "degenerate", "near-degenerate")
@@ -225,13 +226,10 @@ def ref_estimate_pdm(process, basis_A, basis_B, shots, seed):
 
 
 def ref_worst_of_five(process, X, rng):
-    """max |<O_A, O_B> - Tr[X (O_A (x) O_B)]| over five pairs, O_A drawn before O_B."""
-    worst = 0.0
-    for _ in range(5):
-        O_A = Observable(random_hermitian(process.dim_in, rng))
-        O_B = Observable(random_hermitian(process.dim_out, rng))
-        worst = max(worst, abs(ref_two_time_ev(process, O_A, O_B) - ref_trace_value(X, O_A, O_B)))
-    return worst
+    """``ref_residual`` over five random pairs, O_A drawn before O_B."""
+    pairs = [(Observable(random_hermitian(process.dim_in, rng)),
+              Observable(random_hermitian(process.dim_out, rng))) for _ in range(5)]
+    return ref_residual(process, X, pairs)
 
 
 def ref_verify_theorems(dims, trials, seed):
@@ -671,15 +669,37 @@ def test_verify_theorems_matches_scalar_loop(seed):
 
 
 @pytest.mark.parametrize("dA, dB", [(2, 2), (2, 3), (3, 2), (4, 3)])
-def test_special_case_residual_judges_the_drawn_pairs(dA, dB):
-    # A general process is not representable by its canonical state over time, so the
-    # drawn pairs' worst deviation is far above roundoff and pins which pairs are judged.
-    process = make_process(np.random.default_rng(dA * 10 + dB), dA, dB, dA)
-    X = canonical_sot(process).matrix
-    got = _special_case_residual(process, X, np.random.default_rng(1))
-    want = ref_worst_of_five(process, X, np.random.default_rng(1))
-    assert want > 1e-3
-    assert abs(got - want) <= TOL
+def test_special_case_residual_judges_the_drawn_pairs(dA, dB, monkeypatch):
+    # Each special-case claim judges the five pairs drawn right after rho, O_A before O_B.
+    # Their residual is taken here on a general process, which its canonical state over time
+    # does not represent, so it is far above roundoff and pins which pairs are judged.
+    states, got = [], []
+
+    def density(d, rng):
+        rho = random_density(d, rng)
+        states.append(rng.bit_generator.state)
+        return rho
+
+    def residual(process, X, probes):
+        if not states:  # the light-touch claim, judged before any density is drawn
+            return representability_residual(process, X, probes)
+        dims = (process.dim_in, process.dim_out)
+        general = make_process(np.random.default_rng(10 * dims[0] + dims[1]), *dims, dims[0])
+        X = canonical_sot(general).matrix
+        got.append((general, X, representability_residual(general, X, probes)))
+        return 0.0
+
+    monkeypatch.setattr(verify, "random_density", density)
+    monkeypatch.setattr(verify, "representability_residual", residual)
+    verify_theorems(dims=(dA, dB), trials=2)
+    assert len(got) == len(states) == 16  # sigma and rho, then both claims, per trial
+    for state, mixed, prepared in zip(states[1::2], got[0::2], got[1::2]):
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state
+        for general, X, value in (mixed, prepared):
+            want = ref_worst_of_five(general, X, rng)
+            assert want > 1e-3
+            assert abs(value - want) <= TOL
 
 
 @pytest.mark.parametrize("m, n", [(2, 2), (3, 3), (2, 4), (4, 2), (5, 3)])
@@ -927,7 +947,7 @@ def test_building_a_record_decomposes_no_member():
     members = observables(rng, 4, KINDS)
     _record.cache_clear()
     record = _basis(members, 4)
-    assert not any("spectral" in obs._cache for obs in members)
+    assert not any("spectral" in vars(obs) for obs in members)
     assert not record.light_touch
     for k, obs in enumerate(members):
         cut = slice(record.starts[k], record.starts[k + 1])

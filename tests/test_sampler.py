@@ -27,7 +27,7 @@ from qsot import (
 )
 from qsot import sampler
 from qsot.observables import PAULI
-from qsot.sampler import _rekey, _rng
+from qsot.sampler import _rng
 from qsot.twotime import _joint_table, _records
 
 
@@ -249,62 +249,21 @@ PINNED_COUNTS = {
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 def test_streams_give_the_pinned_counts(seed):
-    probs = [0.1, 0.2, 0.3, 0.4]
-    assert _rng(seed).multinomial(1000, probs).tolist() == PINNED_COUNTS[seed]
-    gen = _rng(3)
-    gen.random(3)
-    _rekey(gen, seed)
-    assert gen.multinomial(1000, probs).tolist() == PINNED_COUNTS[seed]
+    assert _rng(seed).multinomial(1000, [0.1, 0.2, 0.3, 0.4]).tolist() == PINNED_COUNTS[seed]
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), start=st.integers(0, 2**64 - 1),
-       used=st.lists(st.sampled_from(["uint32", "uint64", "double"]), max_size=6))
-def test_rekey_after_any_use_equals_a_fresh_stream(seed, start, used):
-    gen = _rng(start)
-    for kind in used:  # leaves a cached 32-bit half, a partly read buffer, or both
-        if kind == "double":
-            gen.random()
-        else:
-            gen.integers(0, 2**32 if kind == "uint32" else 2**64,
-                         dtype=np.uint32 if kind == "uint32" else np.uint64)
-    # The second reference keys Philox from a uint64 array, apart from _rekey.
-    keyed = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    for fresh in (_rng(seed), np.random.Generator(keyed)):
-        _rekey(gen, seed)
-        assert gen.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == \
-            fresh.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
-        assert np.array_equal(gen.multinomial(10**5, [0.5, 0.25, 0.25]),
-                              fresh.multinomial(10**5, [0.5, 0.25, 0.25]))
-
-
-@pytest.mark.parametrize("seed", STREAM_SEEDS)
-def test_rekeyed_stream_equals_fresh_stream(seed):
-    probs = np.array([0.1, 0.2, 0.3, 0.4])
-    gen = _rng(12345)
-    _rekey(gen, seed)
-    assert np.array_equal(gen.random(4), _rng(seed).random(4))
-    _rekey(gen, seed)
-    assert np.array_equal(gen.multinomial(1000, probs), _rng(seed).multinomial(1000, probs))
-
-
-@pytest.mark.parametrize("seed", STREAM_SEEDS)
-@pytest.mark.parametrize("half_used", [
-    lambda g: g.integers(0, 2**32, size=1, dtype=np.uint32),
-    lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
-    lambda g: g.random(3),
-], ids=["uint32x1", "uint32x3", "random3"])
-def test_rekey_leaves_nothing_of_a_half_used_stream(seed, half_used):
-    # An odd number of 32-bit draws leaves has_uint32 set; random(3) leaves
-    # the Philox buffer partly read.
-    gen = _rng(7)
-    half_used(gen)
-    _rekey(gen, seed)
-    assert np.array_equal(gen.random(4), _rng(seed).random(4))
-    half_used(gen)
-    _rekey(gen, seed)
-    assert np.array_equal(gen.integers(0, 2**32, size=5, dtype=np.uint32),
-                          _rng(seed).integers(0, 2**32, size=5, dtype=np.uint32))
+@given(seed=st.integers(0, 2**64 - 1))
+@example(seed=2**63)
+@example(seed=2**64 - 1)
+def test_rng_is_the_philox_stream_keyed_on_the_seed(seed):
+    # The reference keys Philox from a uint64 array, which holds every seed exactly.
+    keyed = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    gen = _rng(seed)
+    assert gen.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == \
+        keyed.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
+    assert np.array_equal(gen.multinomial(10**5, [0.5, 0.25, 0.25]),
+                          keyed.multinomial(10**5, [0.5, 0.25, 0.25]))
 
 
 def test_estimate_pdm_builds_one_philox(monkeypatch):
