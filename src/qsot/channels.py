@@ -60,7 +60,7 @@ class QuantumChannel:
         return self._jam
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Process:
     """A channel together with an input density matrix on its input algebra."""
 

@@ -34,7 +34,7 @@ from .observables import (  # noqa: E402
     sic_povm,
 )
 from .sot import canonical_sot, reconstruct_unique  # noqa: E402
-from .twotime import joint_distribution, two_time_ev  # noqa: E402
+from .twotime import two_time_ev  # noqa: E402
 
 
 def _lazy_submodule(name: str):
@@ -112,8 +112,6 @@ def _permutation(text: str) -> tuple:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
                         help="seed for all randomness (default 0xC0FFEE)")
-    parser.add_argument("--tol", type=_tol, default=None,
-                        help="override default verification tolerances")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("json", "pretty"), default="pretty",
                         help="output formatting")
@@ -179,14 +177,13 @@ def cmd_sample(args) -> int:
     _, pb = io.load_document(args.observable_b, expect_kind="observable")
     O_A = io.observable_from_payload(pa)
     O_B = io.observable_from_payload(pb)
-    record = sampler.sample_sequential(process, O_A, O_B, args.shots, args.seed)
-    joint = joint_distribution(process, O_A, O_B)
     with np.errstate(over="ignore", invalid="ignore"):  # judged below, not warned about
-        mean, stderr = sampler.estimate_ev(record, joint.outcomes_A, joint.outcomes_B)
+        A, B, (probs,), (products,), (counts,), (mean,), (var,) = sampler._draw(
+            process, [O_A], [O_B], args.shots, args.seed)
+        mean, stderr = float(mean), float(np.sqrt(var / args.shots))
         exact = two_time_ev(process, O_A, O_B)
-        products = np.outer(joint.outcomes_A, joint.outcomes_B)
         # The standard error of a mean of n draws from P: the sample's is 0 at one shot.
-        exact_stderr = math.sqrt(float(np.sum(joint.probs * (products - exact) ** 2)) / args.shots)
+        exact_stderr = math.sqrt(float(np.sum(probs * (products - exact) ** 2)) / args.shots)
     if not all(map(math.isfinite, (mean, stderr, exact, exact_stderr))):
         raise NumericalFailure("outcome products overflow the float range")
     passed = abs(mean - exact) <= (SAMPLE_SIGMAS * exact_stderr
@@ -194,11 +191,11 @@ def cmd_sample(args) -> int:
     doc = io.envelope(
         "report",
         {
-            "shots": record.shots,
-            "seed": record.seed,
-            "outcomes_A": [float(x) for x in joint.outcomes_A],
-            "outcomes_B": [float(x) for x in joint.outcomes_B],
-            "counts": [[int(c) for c in row] for row in record.counts],
+            "shots": args.shots,
+            "seed": args.seed,
+            "outcomes_A": [float(x) for x in A.eigenvalues],
+            "outcomes_B": [float(x) for x in B.eigenvalues],
+            "counts": [[int(c) for c in row] for row in counts.reshape(len(A.eigenvalues), -1)],
             "estimate": mean,
             "stderr": stderr,
             "exact": exact,
@@ -262,6 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=_dims, default=(2, 3),
                    help="comma-separated dimensions in 2..6")
     p.add_argument("--trials", type=int, default=25)
+    p.add_argument("--tol", type=_tol, default=None,
+                   help="override default verification tolerances")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

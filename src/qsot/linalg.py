@@ -62,7 +62,7 @@ def check_hermitian(M) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Distinct real eigenvalues with orthogonal projectors resolving the identity.
 

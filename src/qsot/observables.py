@@ -46,7 +46,7 @@ class Classification:
         return self.kind in ("scalar", "dichotomous")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observable:
     """A hermitian matrix with lazily computed spectral data.
 
@@ -164,7 +164,7 @@ def sic_fiducial_v(r0: float, theta: float, phi: float, permutation=(0, 1, 2)) -
     return permutation_matrix(permutation) @ v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SicPovm:
     """Nine rank-1 qutrit projectors in the Weyl-Heisenberg orbit of a fiducial."""
 

@@ -3,10 +3,10 @@
 The counts of n shots over the outcome pairs (i, j) of the two measurements
 follow Multinomial(n, P(i, j)), with P(i, j) the exact joint distribution. They
 come from one counter-based Philox stream keyed on the seed, so counts are a
-pure function of (seed, shots). ``estimate_pdm`` takes the joint distributions
-of all basis pairs from one batched probability table, draws the counts of every
-pair in one multinomial call on that one stream, and expands the means over the
-dual frames of any complete bases with ``pdm_from_correlations``.
+pure function of (seed, shots). One routine, ``_draw``, samples every pair of two
+observable lists in one multinomial call and takes all their moments at once;
+``estimate_pdm`` expands its means over dual frames with ``pdm_from_correlations``,
+``sample_sequential`` is its one-pair case and ``estimate_ev`` its moments of one row.
 """
 
 from __future__ import annotations
@@ -20,67 +20,33 @@ from .errors import DimensionMismatch, IndexOutOfRange, InvalidParameter, Numeri
 from .linalg import PROB_SUM_TOL
 from .observables import Observable
 from .sot import StateOverTime, pdm_from_correlations
-from .twotime import _joint_table, _records, joint_distribution
+from .twotime import _joint_table, _records
 
 SEED_LIMIT = 1 << 64
 SHOTS_LIMIT = 1 << 63  # a multinomial draw takes its number of trials as an int64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShotRecord:
-    """Empirical counts over outcome-index pairs of the two measurements."""
+    """Empirical counts over outcome-index pairs of the two measurements; they sum to shots."""
 
     counts: np.ndarray  # shape (num outcomes A, num outcomes B)
     shots: int
     seed: int
 
+    def __post_init__(self):
+        if not 1 <= self.shots == np.sum(self.counts):
+            raise InvalidParameter(f"shots {self.shots} < 1 or != counts sum {np.sum(self.counts)}")
+
     def count(self, i: int, j: int) -> int:
+        if not (0 <= i < self.counts.shape[0] and 0 <= j < self.counts.shape[1]):
+            raise IndexOutOfRange(f"outcome pair ({i}, {j}) outside counts {self.counts.shape}")
         return int(self.counts[i, j])
-
-
-def _check_seed(seed: int) -> None:
-    if not 0 <= seed < SEED_LIMIT:
-        raise InvalidParameter(f"seed must lie in [0, 2^64), got {seed}")
-
-
-def _check_shots(shots: int) -> None:
-    if not 1 <= shots < SHOTS_LIMIT:
-        raise InvalidParameter(f"shots must lie in [1, 2^63), got {shots}")
 
 
 def _rng(seed: int) -> np.random.Generator:
     """A fresh generator on the Philox stream keyed on the seed; numpy sets an int key exactly."""
     return np.random.Generator(np.random.Philox(key=seed))
-
-
-def sample_sequential(process: Process, O_A: Observable, O_B: Observable,
-                      shots: int, seed: int) -> ShotRecord:
-    """Counts of the protocol over a number of shots; deterministic in (seed, shots)."""
-    _check_shots(shots)
-    _check_seed(seed)
-    probs = joint_distribution(process, O_A, O_B).probs  # validates dims, clamps, sums to 1
-    counts = _rng(seed).multinomial(shots, probs.ravel() / probs.sum())
-    return ShotRecord(counts=counts.reshape(probs.shape), shots=shots, seed=seed)
-
-
-def estimate_ev(record: ShotRecord, outcomes_A, outcomes_B) -> tuple:
-    """Mean and standard error of the product random variable from counts."""
-    outcomes_A = np.asarray(outcomes_A, dtype=float)
-    outcomes_B = np.asarray(outcomes_B, dtype=float)
-    if record.counts.shape != (len(outcomes_A), len(outcomes_B)):
-        raise IndexOutOfRange(
-            f"counts shape {record.counts.shape} != outcome grid "
-            f"({len(outcomes_A)}, {len(outcomes_B)})"
-        )
-    products = np.outer(outcomes_A, outcomes_B)
-    n = record.shots
-    mean = float((record.counts * products).sum()) / n
-    if n > 1:
-        var = float((record.counts * (products - mean) ** 2).sum()) / (n - 1)
-    else:
-        var = 0.0
-    stderr = float(np.sqrt(max(var, 0.0) / n))
-    return mean, stderr
 
 
 def _row_sums(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -99,25 +65,31 @@ def _row_sums(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return out
 
 
-def estimate_pdm(process: Process, basis_A, basis_B, shots_per_pair: int,
-                 seed: int) -> StateOverTime:
-    """Reconstruct the pseudo-density matrix from sampled two-time expectations.
+def _moments(counts: np.ndarray, products: np.ndarray, sizes: np.ndarray, n: int) -> tuple:
+    """Each row's mean of the outcome products over n shots and its sample variance."""
+    means = _row_sums(counts * products, sizes) / n
+    # One shot leaves every deviation at exactly 0, so dividing by 1 keeps var at 0.
+    var = _row_sums(counts * (products - means[:, None]) ** 2, sizes) / max(n - 1, 1)
+    return means, var
 
-    Every pair (A_a, B_b) reads its joint distribution from one batched
-    probability table over all eigenprojectors of both bases, and each block
-    is checked to sum to 1. Pair k = a len(basis_B) + b is row k of one zero-padded
-    grid, and one multinomial call on the stream ``_rng(seed)`` draws every row.
-    numpy leaves a row's roundoff remainder in its last cell, which is padding for a
-    narrower pair; it is moved to the pair's last real cell, which is where a draw over
-    exactly the pair's cells puts it, so each pair's counts follow its own multinomial
-    law. The means and standard errors of ``estimate_ev`` follow for all pairs at once.
-    The pairs are independent, so ``stderr``, the Frobenius standard error of the
-    dual-frame expansion, is exactly sqrt(sum_ab s_ab^2 (G_A^-1)_aa (G_B^-1)_bb):
-    sqrt(sum_ab s_ab^2 / (c_A c_B)) if orthogonal. The bases' records
-    (``twotime._basis``) hold the cluster eigenvalues and the squared dual norms.
+
+def _draw(process: Process, basis_A, basis_B, shots: int, seed: int) -> tuple:
+    """Sample every pair (A_a, B_b) of two observable lists and take its moments.
+
+    Every pair reads its joint distribution from one batched probability table over
+    all eigenprojectors of both lists, and each block is checked to sum to 1. Pair
+    k = a len(basis_B) + b is row k of one zero-padded grid, and one multinomial call on
+    the stream ``_rng(seed)`` draws every row. numpy leaves a row's roundoff remainder in
+    its last cell, padding for a narrower pair; it is moved to the pair's last real cell,
+    where a draw over the pair's cells alone puts it, so each pair's counts follow its own
+    multinomial law. Returns the records, then per pair (row-major over its outcome grid,
+    zero-padded): the clamped probabilities, the products lam_i mu_j, the counts, the
+    mean and the sample variance.
     """
-    _check_shots(shots_per_pair)
-    _check_seed(seed)
+    if not 1 <= shots < SHOTS_LIMIT:
+        raise InvalidParameter(f"shots must lie in [1, 2^63), got {shots}")
+    if not 0 <= seed < SEED_LIMIT:
+        raise InvalidParameter(f"seed must lie in [0, 2^64), got {seed}")
     if not len(basis_A) or not len(basis_B):
         raise DimensionMismatch("both observable bases must be nonempty")
     A, B = _records(process, basis_A, basis_B)
@@ -137,16 +109,44 @@ def estimate_pdm(process: Process, basis_A, basis_B, shots_per_pair: int,
     if off.size:
         pair = divmod(int(off[0]), len(basis_B))
         raise NumericalFailure(f"joint distribution of pair {pair} sums to {totals[off[0]]}")
-    counts = _rng(seed).multinomial(shots_per_pair, probs / totals[:, None])
+    counts = _rng(seed).multinomial(shots, probs / totals[:, None])
     counts[np.arange(len(counts)), sizes - 1] += np.where(valid, 0, counts).sum(axis=1)
     counts[~valid] = 0
+    return (A, B, probs, products, counts, *_moments(counts, products, sizes, shots))
 
-    n = shots_per_pair
-    means = _row_sums(counts * products, sizes) / n
-    # One shot leaves every deviation at exactly 0, so dividing by 1 keeps var at 0.
-    var = _row_sums(counts * (products - means[:, None]) ** 2, sizes) / max(n - 1, 1)
+
+def sample_sequential(process: Process, O_A: Observable, O_B: Observable,
+                      shots: int, seed: int) -> ShotRecord:
+    """Counts of the protocol over a number of shots (deterministic): ``_draw`` of one pair."""
+    A, _, _, _, (counts,), _, _ = _draw(process, [O_A], [O_B], shots, seed)
+    return ShotRecord(counts=counts.reshape(len(A.eigenvalues), -1), shots=shots, seed=seed)
+
+
+def estimate_ev(record: ShotRecord, outcomes_A, outcomes_B) -> tuple:
+    """Mean and standard error of the product random variable: ``_moments`` of one row."""
+    outcomes_A = np.asarray(outcomes_A, dtype=float)
+    outcomes_B = np.asarray(outcomes_B, dtype=float)
+    if record.counts.shape != (len(outcomes_A), len(outcomes_B)):
+        raise IndexOutOfRange(f"counts shape {record.counts.shape} != outcome grid "
+                              f"({len(outcomes_A)}, {len(outcomes_B)})")
+    (mean,), (var,) = _moments(record.counts.reshape(1, -1),
+                               np.outer(outcomes_A, outcomes_B).reshape(1, -1),
+                               np.array([record.counts.size]), record.shots)
+    return float(mean), float(np.sqrt(var / record.shots))
+
+
+def estimate_pdm(process: Process, basis_A, basis_B, shots_per_pair: int,
+                 seed: int) -> StateOverTime:
+    """Reconstruct the pseudo-density matrix from the means of ``_draw`` over two bases.
+
+    The pairs are independent, so ``stderr``, the Frobenius standard error of the
+    dual-frame expansion, is exactly sqrt(sum_ab s_ab^2 (G_A^-1)_aa (G_B^-1)_bb), with
+    the squared dual norms from the bases' records: sqrt(sum_ab s_ab^2 / (c_A c_B)) if
+    orthogonal.
+    """
+    A, B, _, _, _, means, var = _draw(process, basis_A, basis_B, shots_per_pair, seed)
     shape = (len(basis_A), len(basis_B))
     sot = pdm_from_correlations(process.dim_in, process.dim_out, basis_A, basis_B,
                                 means.reshape(shape))
-    stderr = float(np.sqrt(A.frame[2] @ var.reshape(shape) @ B.frame[2] / n))
+    stderr = float(np.sqrt(A.frame[2] @ var.reshape(shape) @ B.frame[2] / shots_per_pair))
     return replace(sot, provenance="sampled", stderr=stderr)

@@ -24,7 +24,7 @@ from .observables import Observable
 from .twotime import _basis, _frames, _values, trace_grid, two_time_grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateOverTime:
     """Hermitian unit-trace operator on A (x) B with a provenance tag.
 

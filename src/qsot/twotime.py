@@ -20,7 +20,7 @@ from .linalg import PROB_NEG_LIMIT, PROB_SUM_TOL, _spectra
 from .observables import Observable, _classify, hermitian_basis, light_touch_spanning_set
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Joint outcome distribution of the two sequential measurements."""
 
@@ -265,7 +265,7 @@ def general_probes(dim_in: int, dim_out: int, rng: np.random.Generator) -> list:
     return pairs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NonrepresentableWitness:
     """The constructed non-representable process with its nonlinearity certificate."""
 

@@ -198,6 +198,23 @@ def test_sample_with_a_wrong_exact_value_fails(tmp_path, monkeypatch):
     assert payload["passed"] is False and payload["exact"] == 0.5
 
 
+def test_sample_evaluates_the_joint_table_once(tmp_path, monkeypatch):
+    from qsot import sampler, twotime
+
+    calls = []
+    table = twotime._joint_table
+
+    def counting_table(*args):
+        calls.append(args)
+        return table(*args)
+
+    for module in (twotime, sampler):  # each module that binds the name
+        monkeypatch.setattr(module, "_joint_table", counting_table)
+    code, payload = _sample(tmp_path, np.diag([1.0, 0.0]), PAULI[3], PAULI[1], 1000)
+    assert code == 0 and payload["passed"] is True
+    assert len(calls) == 1
+
+
 def test_sample_rejects_zero_shots(tmp_path):
     proc_file = write_process(tmp_path, Process(identity_channel(2), np.diag([1.0, 0.0])))
     obs_file = write_observable(tmp_path, PAULI[3], "sz.json")
@@ -412,6 +429,13 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith(f"parse error: cannot write {out}") and len(err.splitlines()) == 1
+
+
+def test_tol_belongs_to_verify_alone(tmp_path, capsys):
+    proc_file = write_process(tmp_path, Process(identity_channel(2), np.eye(2) / 2))
+    code, line = _parse_error(["sot", proc_file, "--tol", "1"], capsys)
+    assert code == 2
+    assert line == "qsot: error: unrecognized arguments: --tol 1"
 
 
 def test_threads_option_is_gone(tmp_path, capsys):

@@ -6,9 +6,10 @@ application per eigenprojector and probe pair, one ``np.kron`` per trace,
 one outer product per Kraus operator for the Choi matrix, the anticommutator
 with the Kronecker-lifted state for the canonical state over time,
 the least-squares reconstruction over a (dA dB)^2-square design matrix
-that the dual-frame expansion replaced, and the sampled reconstruction with
-one ``sample_sequential`` and one ``estimate_ev`` per basis pair, and the
-``verify theorems`` suite with one scalar two-time value and trace per pair.
+that the dual-frame expansion replaced, the one-pair draw and the mean and
+standard error formula that the sampler's batched draw and moments replaced,
+the sampled reconstruction with one such draw and estimate per basis pair, and
+the ``verify theorems`` suite with one scalar two-time value and trace per pair.
 Every grid value, reconstruction and suite residual must match them within
 1e-12 on seeded random instances, and a Choi matrix exactly. A sampled
 reconstruction draws all pairs at once, so it matches the per-pair loop in
@@ -119,6 +120,25 @@ def ref_joint_probs(process, O_A, O_B):
     return probs
 
 
+def ref_sample_sequential(process, O_A, O_B, shots, seed):
+    """One pair's counts: its own joint distribution, drawn in one multinomial call."""
+    probs = joint_distribution(process, O_A, O_B).probs
+    counts = _rng(seed).multinomial(shots, probs.ravel() / probs.sum())
+    return ShotRecord(counts=counts.reshape(probs.shape), shots=shots, seed=seed)
+
+
+def ref_estimate_ev(record, outcomes_A, outcomes_B):
+    """The mean of the outcome products over the counts and its standard error."""
+    products = np.outer(np.asarray(outcomes_A, dtype=float), np.asarray(outcomes_B, dtype=float))
+    n = record.shots
+    mean = float((record.counts * products).sum()) / n
+    if n > 1:
+        var = float((record.counts * (products - mean) ** 2).sum()) / (n - 1)
+    else:
+        var = 0.0
+    return mean, float(np.sqrt(max(var, 0.0) / n))
+
+
 def ref_residual(process, X, probes):
     worst = 0.0
     for O_A, O_B in probes:
@@ -170,16 +190,16 @@ def ref_canonical_sot(process):
 
 
 def ref_pair_estimates(process, basis_A, basis_B, shots, seed):
-    """Per-pair means and standard errors: one sample_sequential and one estimate_ev per
-    basis pair, with the pair's own seed.
+    """Per-pair means and standard errors: one ``ref_sample_sequential`` and one
+    ``ref_estimate_ev`` per basis pair, with the pair's own seed.
     """
     means, stderrs = np.zeros((2, len(basis_A), len(basis_B)))
     for a, A in enumerate(basis_A):
         for b, B in enumerate(basis_B):
             pair_seed = (seed * 0x9E3779B9 + a * len(basis_B) + b) & 0xFFFFFFFFFFFFFFFF
-            record = sample_sequential(process, A, B, shots, pair_seed)
-            means[a, b], stderrs[a, b] = estimate_ev(record, A.spectral.eigenvalues,
-                                                     B.spectral.eigenvalues)
+            record = ref_sample_sequential(process, A, B, shots, pair_seed)
+            means[a, b], stderrs[a, b] = ref_estimate_ev(record, A.spectral.eigenvalues,
+                                                         B.spectral.eigenvalues)
     return means, stderrs
 
 
@@ -188,10 +208,10 @@ def ref_single_draw_estimates(process, basis_A, basis_B, shots, seed):
 
     Each pair's block of the batched joint table (a cell at exactly 0 there may hold
     roundoff in a table of one pair, and a binomial draw at p = 0 takes nothing from
-    the stream), normalized as ``sample_sequential`` normalizes it, is zero-padded to
-    a row of one grid. All rows are drawn in one ``_rng(seed).multinomial`` call, the
+    the stream), normalized as ``ref_sample_sequential`` normalizes it, is zero-padded
+    to a row of one grid. All rows are drawn in one ``_rng(seed).multinomial`` call, the
     counts a row leaves in its padding move to the pair's last cell, and each pair
-    goes through its own ``estimate_ev``.
+    goes through its own ``ref_estimate_ev``.
     """
     A, B = _records(process, basis_A, basis_B)
     table, starts_A, starts_B = _joint_table(process, A, B), A.starts, B.starts
@@ -205,8 +225,8 @@ def ref_single_draw_estimates(process, basis_A, basis_B, shots, seed):
         row[P.size - 1] += row[P.size:].sum()
         a, b = divmod(k, len(basis_B))
         record = ShotRecord(counts=row[:P.size].reshape(P.shape), shots=shots, seed=seed)
-        means[a, b], stderrs[a, b] = estimate_ev(record, basis_A[a].spectral.eigenvalues,
-                                                 basis_B[b].spectral.eigenvalues)
+        means[a, b], stderrs[a, b] = ref_estimate_ev(record, basis_A[a].spectral.eigenvalues,
+                                                     basis_B[b].spectral.eigenvalues)
     return means, stderrs
 
 
@@ -421,6 +441,42 @@ def test_joint_table_blocks_match_joint_distribution(seed, dA, dB, rank, kinds_A
 
 
 # ------------------------------------------------------------ sampled reconstruction
+
+@FAST
+@example(seed=0, dA=3, dB=3, rank=3, kind_A="general", kind_B="general", shots=2**62,
+         draw_seed=2**64 - 1)
+@given(seed=seeds, dA=dims, dB=dims, rank=ranks, kind_A=st.sampled_from(KINDS),
+       kind_B=st.sampled_from(KINDS),
+       shots=st.one_of(st.sampled_from([1, 2, 2**62]), st.integers(1, 10**6)),
+       draw_seed=st.integers(0, 2**64 - 1))
+def test_sample_sequential_matches_one_pair_draw(seed, dA, dB, rank, kind_A, kind_B, shots,
+                                                 draw_seed):
+    rng = np.random.default_rng(seed)
+    process = make_process(rng, dA, dB, rank)
+    O_A, O_B = make_observable(rng, dA, kind_A), make_observable(rng, dB, kind_B)
+    record = sample_sequential(process, O_A, O_B, shots, draw_seed)
+    want = ref_sample_sequential(process, O_A, O_B, shots, draw_seed)
+    assert np.array_equal(record.counts, want.counts)
+    assert (record.shots, record.seed) == (shots, draw_seed)
+
+
+@FAST
+# Outcome grids of 8 cells and more, which numpy sums pairwise, at each shot count.
+@example(seed=0, nA=2, nB=4, shots=1, scale=1.0)
+@example(seed=1, nA=3, nB=3, shots=2, scale=1e-3)
+@example(seed=2, nA=5, nB=6, shots=2**62, scale=1e6)
+@given(seed=seeds, nA=st.integers(1, 6), nB=st.integers(1, 6),
+       shots=st.one_of(st.sampled_from([1, 2, 2**62]), st.integers(1, 10**6)),
+       scale=st.sampled_from([1e-3, 1.0, 1e6]))
+def test_estimate_ev_matches_one_pair_formula(seed, nA, nB, shots, scale):
+    rng = np.random.default_rng(seed)
+    outcomes_A, outcomes_B = scale * rng.standard_normal(nA), rng.standard_normal(nB)
+    counts = rng.multinomial(shots, rng.dirichlet(np.ones(nA * nB))).reshape(nA, nB)
+    record = ShotRecord(counts=counts, shots=shots, seed=0)
+    assert estimate_ev(record, outcomes_A, outcomes_B) == \
+        ref_estimate_ev(record, outcomes_A, outcomes_B)
+    assert shots > 1 or estimate_ev(record, outcomes_A, outcomes_B)[1] == 0.0
+
 
 @FAST
 # Generic 4-cluster elements give pairs of 8 cells, which numpy sums pairwise:

@@ -11,10 +11,14 @@ from qsot import (
     classify_light_touch,
     hermitian_basis,
     identity_channel,
+    joint_distribution,
     light_touch_basis_qutrit,
     light_touch_spanning_set,
+    nonrepresentable_witness,
     pauli_basis,
     pauli_string,
+    random_process,
+    sample_sequential,
     sic_fiducial_v,
     sic_fiducial_w,
     sic_povm,
@@ -290,3 +294,19 @@ def test_observable_keeps_a_read_only_copy_of_its_matrix():
     process = Process(identity_channel(2), np.eye(2) / 2)
     X = canonical_sot(process).matrix
     assert abs(two_time_ev(process, obs, obs) - sot_trace_value(X, obs, obs)) <= 1e-15
+
+
+def test_array_holding_objects_compare_by_identity():
+    b = pauli_basis(1)
+    assert b.index(b[3]) == 3 and b[3] in b
+    assert Observable(b[3].matrix) not in b
+    process = random_process(2, 2, np.random.default_rng(0))
+    for make in (lambda: Observable(b[3].matrix).spectral, lambda: Observable(b[3].matrix),
+                 lambda: sic_povm(sic_fiducial_w(0.0)),
+                 lambda: Process(process.channel, process.rho),
+                 lambda: joint_distribution(process, b[1], b[3]),
+                 lambda: nonrepresentable_witness(2, 2), lambda: canonical_sot(process),
+                 lambda: sample_sequential(process, b[1], b[3], 10, 0)):
+        x, y = make(), make()
+        assert x == x and x != y and [y, x].index(x) == 1 and x in [y, x]
+        assert len({x, y, x}) == 2

@@ -78,12 +78,23 @@ def test_empirical_frequencies_match_joint_distribution():
     assert tv < 0.01
 
 
+def test_count_rejects_indices_outside_the_counts():
+    record = ShotRecord(counts=np.array([[1, 2, 3], [4, 5, 6]]), shots=21, seed=0)
+    assert record.count(1, 2) == 6 and record.count(0, 0) == 1
+    for i, j in [(-1, -1), (-1, 0), (0, -1), (2, 0), (5, 0), (0, 3)]:
+        with pytest.raises(IndexOutOfRange):
+            record.count(i, j)
+
+
 def test_estimate_ev_validation():
     record = ShotRecord(counts=np.array([[10, 0], [0, 10]]), shots=20, seed=0)
     mean, stderr = estimate_ev(record, [-1.0, 1.0], [-1.0, 1.0])
     assert mean == 1.0 and stderr == 0.0
     with pytest.raises(IndexOutOfRange):
         estimate_ev(record, [-1.0, 0.0, 1.0], [-1.0, 1.0])
+    for shots in (0, 19, 21):  # the counts sum to 20
+        with pytest.raises(InvalidParameter):
+            ShotRecord(counts=record.counts, shots=shots, seed=0)
 
 
 def test_concentration_on_random_process():
