@@ -14,11 +14,10 @@ class QuantumChannel:
     """A CPTP map stored as a read-only (nk, dim_out, dim_in) stack of Kraus operators.
 
     Kraus is the canonical representation: application is cheap and complete
-    positivity holds by construction. The Choi matrix is built once at
-    construction and the Jamiolkowski matrix is derived from it; both are
-    shared read-only. A Kraus set that is not trace preserving within TP_TOL,
-    or whose Choi matrix has an eigenvalue below -TP_TOL, raises
-    InvalidParameter.
+    positivity holds by construction, so only trace preservation is checked: a Kraus
+    set whose residual ||sum_k K_k^dagger K_k - 1|| exceeds TP_TOL raises
+    InvalidParameter. The Jamiolkowski matrix is built once at construction and
+    shared read-only; the Choi matrix is derived from it.
     """
 
     def __init__(self, kraus):
@@ -35,23 +34,19 @@ class QuantumChannel:
             tp_residual = float(np.linalg.norm(rows.conj().T @ rows - np.eye(self.dim_in)))
         if not np.isfinite(tp_residual):  # the Choi matrix would overflow too
             raise InvalidParameter("Kraus set is not CPTP: sum_k K_k^dagger K_k overflows")
+        if tp_residual > TP_TOL:
+            raise InvalidParameter(f"Kraus set is not CPTP: TP residual {tp_residual:.3e}")
         # v[k, (i, out)] = K_k[out, i] with A-major indexing, so the Choi matrix
         # sum_ij E_ij (x) E(E_ij) is sum_k vec(K_k) vec(K_k)^dagger, added in Kraus
         # order one outer product at a time, so it needs O(D^2) memory, not O(nk D^2).
+        # That sum is positive semidefinite, so it needs no spectrum check.
         v = K.transpose(0, 2, 1).reshape(len(K), -1)
         choi = np.zeros((v.shape[1], v.shape[1]), dtype=complex)
         for vk in v:
             choi += np.outer(vk, vk.conj())
-        min_eig = float(np.linalg.eigvalsh(choi).min())
-        if tp_residual > TP_TOL or min_eig < -TP_TOL:
-            raise InvalidParameter(
-                f"Kraus set is not CPTP: TP residual {tp_residual:.3e}, "
-                f"min Choi eigenvalue {min_eig:.3e}"
-            )
         self.kraus = K
-        self._choi = choi
         self._jam = _swap_A(choi, self.dim_in, self.dim_out)
-        for M in (K, choi, self._jam):
+        for M in (K, self._jam):
             M.flags.writeable = False
 
     @property
@@ -109,8 +104,12 @@ def _swap_A(M: np.ndarray, dim_in: int, dim_out: int) -> np.ndarray:
 
 
 def choi_matrix(channel: QuantumChannel) -> np.ndarray:
-    """Choi matrix sum_{ij} E_ij (x) E(E_ij), read-only."""
-    return channel._choi
+    """Choi matrix sum_{ij} E_ij (x) E(E_ij), derived from the Jamiolkowski matrix.
+
+    The A-swap is its own inverse, so this is bit for bit the sum the constructor
+    formed. Writing to the result leaves the channel unchanged.
+    """
+    return _swap_A(channel.jamiolkowski, channel.dim_in, channel.dim_out)
 
 
 def identity_channel(d: int) -> QuantumChannel:

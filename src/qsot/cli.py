@@ -25,16 +25,13 @@ from . import io  # noqa: E402
 from .errors import InvalidParameter, NumericalFailure, ParameterOutOfRange, QsotError  # noqa: E402
 from .linalg import SAMPLE_RTOL, SAMPLE_SIGMAS  # noqa: E402
 from .observables import (  # noqa: E402
-    hermitian_basis,
     light_touch_basis_qutrit,
-    light_touch_spanning_set,
-    pauli_basis,
     sic_fiducial_v,
     sic_fiducial_w,
     sic_povm,
 )
 from .sot import canonical_sot, reconstruct_unique  # noqa: E402
-from .twotime import two_time_ev  # noqa: E402
+from .twotime import _frames, two_time_ev  # noqa: E402
 
 
 def _lazy_submodule(name: str):
@@ -207,24 +204,13 @@ def cmd_sample(args) -> int:
     return EXIT_OK if passed else EXIT_VERIFY_FAILED
 
 
-def _light_touch_basis(d: int):
-    """The orthogonal light-touch basis at d = 3 and powers of 2, else the spanning set."""
-    if d == 3:
-        return light_touch_basis_qutrit(sic_povm(sic_fiducial_w(0.0)))
-    m = d.bit_length() - 1
-    if d > 1 and d == 1 << m:
-        return pauli_basis(m)
-    return light_touch_spanning_set(d)
-
-
 def cmd_pdm_reconstruct(args) -> int:
     _, payload = io.load_document(args.process_file, expect_kind="process")
     process = io.process_from_payload(payload)
     if args.shots is None:
         sot = reconstruct_unique(process)
     else:
-        basis_A = _light_touch_basis(process.dim_in)
-        basis_B = hermitian_basis(process.dim_out)
+        basis_A, basis_B = _frames(process.dim_in)[0], _frames(process.dim_out)[1]
         sot = sampler.estimate_pdm(process, basis_A, basis_B, args.shots, args.seed)
     _emit(io.sot_doc(sot), args)
     return EXIT_OK

@@ -20,7 +20,7 @@ from .errors import DimensionMismatch, NotHermitian, NumericalFailure
 HERMITICITY_RTOL = 1e-9  # relative: ||M - M^dagger|| against ||M||, Frobenius norms
 CLUSTER_RTOL = 1e-8  # relative: eigenvalue gaps, the dichotomy merge and the
 #                      counterexample pair sum, each against max |eigenvalue|
-TP_TOL = 1e-9  # absolute: ||sum_k K_k^dagger K_k - 1|| and the most negative Choi eigenvalue
+TP_TOL = 1e-9  # absolute: ||sum_k K_k^dagger K_k - 1||; a Kraus set is CP by construction
 DENSITY_TOL = 1e-10  # absolute: |Tr rho - 1| and the most negative eigenvalue of a state
 PROB_NEG_LIMIT = 1e-9  # absolute: the most negative joint probability clamped to 0
 PROB_SUM_TOL = 1e-8  # absolute: |sum of a joint distribution - 1|

@@ -103,10 +103,12 @@ def pdm_from_correlations(dimA: int, dimB: int, basis_A, basis_B, evs) -> StateO
 def reconstruct_unique(process: Process) -> StateOverTime:
     """The unique X with Tr[X (A_a (x) B_b)] = <A_a, B_b> for all probe pairs.
 
-    The probes are the light-touch spanning set {A_a} on A crossed with an
-    orthonormal hermitian basis {B_b} of B. The system factorizes as G (x) 1
-    with G the Gram matrix of {A_a}, so X = sum_ab <A_a, B_b> A~_a (x) B_b
-    with A~ = G^-1 A the dual frame; cond(G) is reported as ``condition``.
+    The probes are the light-touch frame {A_a} on A that ``twotime._frames`` picks
+    (the Pauli strings at dA = 2^m >= 2, the qutrit SIC basis at dA = 3, else the
+    spanning set) crossed with an orthonormal hermitian basis {B_b} of B. The system
+    factorizes as G (x) 1 with G the Gram matrix of {A_a}, so
+    X = sum_ab <A_a, B_b> A~_a (x) B_b with A~ = G^-1 A the dual frame; cond(G) is
+    reported as ``condition``, 1 for the orthogonal frames.
     """
     dA, dB = process.dim_in, process.dim_out
     A, B = _basis(_frames(dA)[0], dA), _basis(_frames(dB)[1], dB)

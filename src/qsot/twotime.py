@@ -17,7 +17,8 @@ import numpy as np
 from .channels import Process, isometry_embed, random_hermitian
 from .errors import DimensionMismatch, InvalidParameter, NumericalFailure, SingularSystem
 from .linalg import PROB_NEG_LIMIT, PROB_SUM_TOL, _spectra
-from .observables import Observable, _classify, hermitian_basis, light_touch_spanning_set
+from .observables import (Observable, _classify, hermitian_basis, light_touch_basis_qutrit,
+                          light_touch_spanning_set, pauli_basis, sic_fiducial_w, sic_povm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,16 +239,27 @@ def representability_residual(process: Process, X, probes) -> float:
 
 @functools.lru_cache(maxsize=16)
 def _frames(d: int) -> tuple:
-    """Per dimension: the light-touch spanning set and the hermitian basis.
+    """Per dimension: the light-touch frame and the hermitian basis.
 
-    Shared by ``light_touch_probes`` and ``reconstruct_unique``, whose calls then
-    read the same two basis records.
+    The frame is orthogonal where such a basis is known: the Pauli strings at
+    d = 2^m >= 2 and the qutrit SIC-induced basis (W family, chi = 0) at d = 3. At
+    every other d it is the light-touch spanning set. This is the one place a
+    light-touch frame is chosen: ``light_touch_probes``, ``reconstruct_unique`` and
+    both modes of ``qsot pdm-reconstruct`` read it, and so share its basis records.
     """
-    return tuple(light_touch_spanning_set(d)), tuple(hermitian_basis(d))
+    m = d.bit_length() - 1
+    if d == 3:
+        frame = light_touch_basis_qutrit(sic_povm(sic_fiducial_w(0.0)))
+    elif d > 1 and d == 1 << m:
+        frame = pauli_basis(m)
+    else:
+        frame = light_touch_spanning_set(d)
+    return tuple(frame), tuple(hermitian_basis(d))
 
 
 def light_touch_probes(dim_in: int, dim_out: int) -> list:
-    """Product probes with light-touch first factors: spanning set x hermitian basis.
+    """Product probes with light-touch first factors: the frame of ``_frames(dim_in)``
+    (Pauli strings at 2^m, the SIC basis at 3, else the spanning set) x hermitian basis.
 
     The observables are shared between calls, and their matrices are read-only.
     """

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsot import (
     DimensionMismatch,
@@ -21,6 +23,7 @@ from qsot import (
     random_hermitian,
     tensor,
 )
+from qsot.linalg import TP_TOL
 from qsot.observables import PAULI
 
 
@@ -149,8 +152,32 @@ def test_validate_cptp_single_kraus_identity():
 def test_validate_cptp_rejects_scaled_kraus():
     # TP residual ||1.21 * 1 - 1|| = 0.21 sqrt(2); the Choi matrix stays positive.
     assert np.isclose(abs(1.21 - 1) * np.sqrt(2), 2.970e-01, atol=5e-5)
-    with pytest.raises(InvalidParameter, match=r"TP residual 2\.970e-01, min Choi eigenvalue"):
+    with pytest.raises(InvalidParameter, match=r"^Kraus set is not CPTP: TP residual 2\.970e-01$"):
         QuantumChannel([1.1 * PAULI[1]])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), dim_in=st.integers(1, 4), dim_out=st.integers(1, 4),
+       rank=st.integers(1, 4), extra=st.integers(0, 3),
+       kind=st.sampled_from(["random", "rank-deficient", "perturbed"]))
+def test_every_accepted_kraus_set_has_a_positive_choi_matrix(seed, dim_in, dim_out, rank, extra,
+                                                             kind):
+    # Sum_k vec(K_k) vec(K_k)^dagger is positive semidefinite for any Kraus set, so the
+    # constructor checks only trace preservation; roundoff stays far from -TP_TOL.
+    rng = np.random.default_rng(seed)
+    rank = max(rank, -(-dim_in // dim_out))  # an isometry needs dim_out * rank >= dim_in
+    kraus = random_channel(dim_in, dim_out, rng, env_dim=rank).kraus
+    if kind == "rank-deficient":  # rank + extra operators spanning a rank-dimensional space
+        shape = (rank + extra, rank)
+        U = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+        # U has orthonormal columns, so it keeps sum_k K_k^dagger K_k.
+        kraus = np.einsum("jk,kab->jab", U, kraus)
+    elif kind == "perturbed":  # a TP residual just inside the tolerance
+        noise = rng.standard_normal(kraus.shape) + 1j * rng.standard_normal(kraus.shape)
+        kraus = kraus + 0.2 * TP_TOL * noise / np.linalg.norm(noise)
+    channel = QuantumChannel(list(kraus))
+    assert channel.kraus.shape == (len(kraus), dim_out, dim_in)
+    assert np.linalg.eigvalsh(choi_matrix(channel)).min() >= -1e-12
 
 
 def test_constructor_rejects_invalid_kraus():
@@ -159,7 +186,7 @@ def test_constructor_rejects_invalid_kraus():
 
 
 def test_constructor_rejects_an_overflowing_kraus_set_before_the_spectrum():
-    # sum_k K_k^dagger K_k holds 1e400 = inf: the Choi spectrum cannot be taken.
+    # sum_k K_k^dagger K_k holds 1e400 = inf: the Choi matrix would overflow too.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(InvalidParameter, match=r"not CPTP: sum_k K_k\^dagger K_k overflows"):

@@ -198,6 +198,24 @@ def test_sample_with_a_wrong_exact_value_fails(tmp_path, monkeypatch):
     assert payload["passed"] is False and payload["exact"] == 0.5
 
 
+def test_sample_judges_the_drawn_table_against_an_independent_exact_value(tmp_path,
+                                                                          monkeypatch):
+    # exact comes from two_time_ev, which pairs the evolved Lüders operator with O_B itself.
+    # An exact value summed from the table _draw holds would share any fault in that
+    # table (here, two outcome columns of O_B swapped) and pass it; this one fails it.
+    from qsot import sampler
+
+    table = sampler._joint_table
+
+    def swapped_table(*args):
+        return table(*args)[:, ::-1]
+
+    monkeypatch.setattr(sampler, "_joint_table", swapped_table)
+    code, payload = _sample(tmp_path, np.diag([1.0, 0.0]), PAULI[3], PAULI[3], 10**5)
+    assert code == 1 and payload["passed"] is False
+    assert payload["exact"] == 1.0 and payload["estimate"] == -1.0
+
+
 def test_sample_evaluates_the_joint_table_once(tmp_path, monkeypatch):
     from qsot import sampler, twotime
 
@@ -252,12 +270,26 @@ def test_condition_number_only_for_expansions(tmp_path):
         assert main([argv[0], proc_file, *argv[1:], "--out", str(out)]) == 0
         payloads[" ".join(argv)] = io.load_document(str(out), expect_kind="sot")[1]
     assert "condition_number" not in payloads["sot"]
-    assert payloads["pdm-reconstruct"]["condition_number"] == pytest.approx(15.5741, rel=1e-5)
     sampled = payloads["pdm-reconstruct --shots 10"]
     assert sampled["condition_number"] == pytest.approx(1.0, abs=1e-12)
+    # Both modes read the qutrit SIC frame from twotime._frames.
+    assert payloads["pdm-reconstruct"]["condition_number"] == pytest.approx(
+        sampled["condition_number"], rel=1e-12)
     assert "condition_number" not in io.sot_doc(canonical_sot(qutrit_process()))["payload"]
     rec = reconstruct_unique(qutrit_process())
     assert io.sot_doc(rec)["payload"]["condition_number"] == rec.condition
+
+
+@pytest.mark.parametrize("dA, dB", [(1, 2), (2, 2), (3, 3), (4, 2), (5, 2)])
+def test_exact_and_sampled_reconstruction_share_the_frame(tmp_path, dA, dB):
+    # Both modes expand over twotime._frames(dA)[0]: Pauli at 2 and 4, SIC at 3, else spanning.
+    proc_file = write_process(tmp_path, random_process(dA, dB, np.random.default_rng(dA)))
+    out = tmp_path / "out.json"
+    conditions = []
+    for extra in ([], ["--shots", "10"]):
+        assert main(["pdm-reconstruct", proc_file, *extra, "--out", str(out)]) == 0
+        conditions.append(io.load_document(str(out), expect_kind="sot")[1]["condition_number"])
+    assert conditions[0] == pytest.approx(conditions[1], rel=1e-12)
 
 
 def test_stderr_frobenius_only_for_sampled(tmp_path):

@@ -182,6 +182,18 @@ def ref_choi(channel):
     return choi
 
 
+def ref_light_touch_basis(d):
+    """The rule ``pdm-reconstruct --shots`` picked its frame by in its own code: the SIC
+    basis at d = 3, Pauli strings at powers of 2 from 2 on, else the spanning set.
+    """
+    if d == 3:
+        return light_touch_basis_qutrit(sic_povm(sic_fiducial_w(0.0)))
+    m = d.bit_length() - 1
+    if d > 1 and d == 1 << m:
+        return pauli_basis(m)
+    return light_touch_spanning_set(d)
+
+
 def ref_canonical_sot(process):
     """0.5 {rho (x) 1, J} with the lifted state formed by np.kron."""
     lifted = np.kron(process.rho, np.eye(process.dim_out))
@@ -926,6 +938,21 @@ def test_light_touch_probes_share_the_frame_cache():
     for obs in (probes[1], basis[2], basis_2[0]):
         with pytest.raises(ValueError):
             obs.matrix[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_frames_pick_the_light_touch_frame_sampling_used(d):
+    # Every light-touch frame comes from _frames, and it is the frame --shots has sampled
+    # over, so --shots output is unchanged.
+    frame = _frames(d)[0]
+    assert np.array_equal([A.matrix for A in frame], [A.matrix for A in ref_light_touch_basis(d)])
+    record = _basis(frame, d)
+    assert len(frame) == d * d and record.light_touch
+    # Orthogonal exactly where a basis is known (d = 1 has the one-element frame {1}).
+    condition = record.frame[1]
+    assert (abs(condition - 1.0) <= 1e-12) == (d in (1, 2, 3, 4, 8))
+    process = random_process(d, 2, np.random.default_rng(d))
+    assert reconstruct_unique(process).condition == condition
 
 
 STACKS = ("empty", "spanning", "hermitian", "pauli", "sic", "general", "degenerate",

@@ -129,7 +129,9 @@ def test_pdm_from_correlations_rejects_bad_bases():
     evs = np.array([[two_time_ev(proc, A, B) for B in basis] for A in skew])
     sot = pdm_from_correlations(3, 2, skew, basis, evs)
     assert np.abs(sot.matrix - canonical_sot(proc).matrix).max() <= 1e-12
-    assert sot.condition == pytest.approx(reconstruct_unique(proc).condition, rel=1e-12)
+    want = _basis(skew, 3).frame[1] * _basis(basis, 2).frame[1]
+    assert sot.condition == pytest.approx(want, rel=1e-12)
+    assert sot.condition == pytest.approx(15.5741, rel=1e-5)
 
 
 def test_pdm_from_correlations_and_estimate_pdm_reject_incomplete_bases():
@@ -169,7 +171,9 @@ def test_condition_numbers():
     assert canonical_sot(proc).condition is None
     assert reconstruct_unique(proc).condition == pytest.approx(1.0, abs=1e-12)
     rec = reconstruct_unique(random_process(4, 2, rng))
-    assert rec.condition == pytest.approx(133.3005, rel=1e-6)
+    assert rec.condition == pytest.approx(1.0, abs=1e-12)  # the Pauli frame at d = 4
+    rec = reconstruct_unique(random_process(5, 2, rng))
+    assert rec.condition == pytest.approx(752.8008, rel=1e-6)  # the spanning set at d = 5
 
 
 def test_dual_frame_rejects_singular_gram():
