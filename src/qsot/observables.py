@@ -132,15 +132,12 @@ def weyl_heisenberg(j: int, k: int, d: int = 3) -> np.ndarray:
 _VALID_ANGLES = (np.pi / 3, np.pi, 5 * np.pi / 3)
 
 
-def permutation_matrix(perm) -> np.ndarray:
-    """3x3 permutation matrix sending e_i to e_perm[i]."""
-    perm = tuple(perm)
+def _permute(v: np.ndarray, permutation) -> np.ndarray:
+    """v with entry i moved to index permutation[i], a permutation of (0, 1, 2)."""
+    perm = tuple(permutation)
     if sorted(perm) != [0, 1, 2]:
         raise ParameterOutOfRange(f"not a permutation of (0, 1, 2): {perm}")
-    P = np.zeros((3, 3))
-    for i, p in enumerate(perm):
-        P[p, i] = 1.0
-    return P
+    return v[np.argsort(perm)]
 
 
 def sic_fiducial_w(chi: float, permutation=(0, 1, 2)) -> np.ndarray:
@@ -148,7 +145,7 @@ def sic_fiducial_w(chi: float, permutation=(0, 1, 2)) -> np.ndarray:
     if not 0.0 <= chi < 2 * np.pi:
         raise ParameterOutOfRange("chi must lie in [0, 2 pi)")
     v = np.array([1.0, np.exp(1j * chi), 0.0]) / np.sqrt(2)
-    return permutation_matrix(permutation) @ v
+    return _permute(v, permutation)
 
 
 def sic_fiducial_v(r0: float, theta: float, phi: float, permutation=(0, 1, 2)) -> np.ndarray:
@@ -161,7 +158,7 @@ def sic_fiducial_v(r0: float, theta: float, phi: float, permutation=(0, 1, 2)) -
     r_plus = (r0 + root) / 2
     r_minus = (r0 - root) / 2
     v = np.array([r0, r_plus * np.exp(1j * theta), r_minus * np.exp(1j * phi)])
-    return permutation_matrix(permutation) @ v
+    return _permute(v, permutation)
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,8 +5,9 @@ follow Multinomial(n, P(i, j)), with P(i, j) the exact joint distribution. They
 come from one counter-based Philox stream keyed on the seed, so counts are a
 pure function of (seed, shots). One routine, ``_draw``, samples every pair of two
 observable lists in one multinomial call and takes all their moments at once;
-``estimate_pdm`` expands its means over dual frames with ``pdm_from_correlations``,
-``sample_sequential`` is its one-pair case and ``estimate_ev`` its moments of one row.
+``estimate_pdm`` hands its records and means to ``sot._reconstruct``, the expansion
+exact reconstruction uses, ``sample_sequential`` is its one-pair case and
+``estimate_ev`` its moments of one row.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .channels import Process
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidParameter, NumericalFailure
 from .linalg import PROB_SUM_TOL
 from .observables import Observable
-from .sot import StateOverTime, pdm_from_correlations
+from .sot import StateOverTime, _reconstruct
 from .twotime import _joint_table, _records
 
 SEED_LIMIT = 1 << 64
@@ -35,8 +36,12 @@ class ShotRecord:
     seed: int
 
     def __post_init__(self):
-        if not 1 <= self.shots == np.sum(self.counts):
-            raise InvalidParameter(f"shots {self.shots} < 1 or != counts sum {np.sum(self.counts)}")
+        c = self.counts
+        if not (isinstance(c, np.ndarray) and c.ndim == 2 and c.dtype.kind in "iu"
+                and c.min(initial=0) >= 0):
+            raise InvalidParameter("counts must be a 2-d array of non-negative integers")
+        if not 1 <= self.shots == np.sum(c):
+            raise InvalidParameter(f"shots {self.shots} < 1 or != counts sum {np.sum(c)}")
 
     def count(self, i: int, j: int) -> int:
         if not (0 <= i < self.counts.shape[0] and 0 <= j < self.counts.shape[1]):
@@ -146,7 +151,6 @@ def estimate_pdm(process: Process, basis_A, basis_B, shots_per_pair: int,
     """
     A, B, _, _, _, means, var = _draw(process, basis_A, basis_B, shots_per_pair, seed)
     shape = (len(basis_A), len(basis_B))
-    sot = pdm_from_correlations(process.dim_in, process.dim_out, basis_A, basis_B,
-                                means.reshape(shape))
+    sot = _reconstruct(A, B, means.reshape(shape))
     stderr = float(np.sqrt(A.frame[2] @ var.reshape(shape) @ B.frame[2] / shots_per_pair))
     return replace(sot, provenance="sampled", stderr=stderr)

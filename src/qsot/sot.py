@@ -21,13 +21,15 @@ from .errors import (
 )
 from .linalg import CLUSTER_RTOL, COUNTEREXAMPLE_RTOL
 from .observables import Observable
-from .twotime import _basis, _frames, _values, trace_grid, two_time_grid
+from .twotime import _Basis, _basis, _frames, _traces, _values
 
 
 @dataclass(frozen=True, eq=False)
 class StateOverTime:
-    """Hermitian unit-trace operator on A (x) B with a provenance tag.
+    """Hermitian operator on A (x) B with a provenance tag.
 
+    Its trace is 1 up to roundoff, except for a sampled estimate: Tr X is then a sum of
+    sampled means, off 1 by sampling noise, and is not renormalized.
     ``condition`` is cond(G_A) cond(G_B) of the observable bases an expansion used,
     about 1 if orthogonal: how far it can amplify errors in the data (None: closed form).
     ``stderr`` is the Frobenius standard error of a sampled estimate (None:
@@ -74,48 +76,48 @@ def _expand(values: np.ndarray, dual: np.ndarray, B: np.ndarray) -> np.ndarray:
     return 0.5 * (X + X.conj().T)
 
 
+def _reconstruct(A: _Basis, B: _Basis, values: np.ndarray) -> StateOverTime:
+    """The one operator whose trace pairings with A_a (x) B_b reproduce values[a, b].
+
+    A and B are the records of a complete basis on each side, A's light-touch. The
+    operator is sum_ab values[a, b] A~_a (x) B~_b over the dual frames A~ = G_A^-1 A and
+    B~ = G_B^-1 B (A / c_A and B / c_B for orthogonal bases): the generalized
+    pseudo-density matrix of Fitzsimons, Jones and Vedral, Sci. Rep. 5, 18281 (2015).
+    ``condition`` is cond(G_A) cond(G_B), from the records.
+    """
+    (nA, dA, _), (nB, dB, _) = A.stack.shape, B.stack.shape
+    if (nA, nB) != (dA * dA, dB * dB):
+        raise DimensionMismatch(f"complete bases need {dA * dA} and {dB * dB} "
+                                f"observables, got {nA} and {nB}")
+    if not A.light_touch:
+        raise NotLightTouch("basis_A contains a non-light-touch element")
+    (dual_A, cond_A, _), (dual_B, cond_B, _) = A.frame, B.frame
+    return StateOverTime(matrix=_expand(values, dual_A, dual_B), dimA=dA, dimB=dB,
+                         provenance="reconstructed", condition=cond_A * cond_B)
+
+
 def pdm_from_correlations(dimA: int, dimB: int, basis_A, basis_B, evs) -> StateOverTime:
-    """Expand correlation data over the dual frames of two observable bases.
+    """Expand correlation data over the dual frames of two observable bases (``_reconstruct``).
 
     ``evs[a][b]`` is the two-time expectation value of (basis_A[a], basis_B[b]).
     basis_A must be dimA^2 independent light-touch observables, basis_B dimB^2
-    independent hermitian ones. The result, the one operator whose trace pairings
-    reproduce the data, is sum_ab evs[a][b] A~_a (x) B~_b over the dual frames
-    A~ = G_A^-1 A and B~ = G_B^-1 B (A / c_A and B / c_B for orthogonal bases),
-    read from the bases' records.
+    independent hermitian ones.
     """
     if not len(basis_A) or not len(basis_B):
         raise DimensionMismatch("both observable bases must be nonempty")
     evs = np.asarray(evs, dtype=float)
     if evs.shape != (len(basis_A), len(basis_B)):
         raise DimensionMismatch(f"evs shape {evs.shape} != ({len(basis_A)}, {len(basis_B)})")
-    if (len(basis_A), len(basis_B)) != (dimA * dimA, dimB * dimB):
-        raise DimensionMismatch(f"complete bases need {dimA * dimA} and {dimB * dimB} "
-                                f"observables, got {len(basis_A)} and {len(basis_B)}")
-    A = _basis(basis_A, dimA)
-    if not A.light_touch:
-        raise NotLightTouch("basis_A contains a non-light-touch element")
-    (dual_A, cond_A, _), (dual_B, cond_B, _) = A.frame, _basis(basis_B, dimB).frame
-    return StateOverTime(matrix=_expand(evs, dual_A, dual_B), dimA=dimA, dimB=dimB,
-                         provenance="reconstructed", condition=cond_A * cond_B)
+    return _reconstruct(_basis(basis_A, dimA), _basis(basis_B, dimB), evs)
 
 
 def reconstruct_unique(process: Process) -> StateOverTime:
-    """The unique X with Tr[X (A_a (x) B_b)] = <A_a, B_b> for all probe pairs.
-
-    The probes are the light-touch frame {A_a} on A that ``twotime._frames`` picks
-    (the Pauli strings at dA = 2^m >= 2, the qutrit SIC basis at dA = 3, else the
-    spanning set) crossed with an orthonormal hermitian basis {B_b} of B. The system
-    factorizes as G (x) 1 with G the Gram matrix of {A_a}, so
-    X = sum_ab <A_a, B_b> A~_a (x) B_b with A~ = G^-1 A the dual frame; cond(G) is
-    reported as ``condition``, 1 for the orthogonal frames.
+    """The unique X with Tr[X (A_a (x) B_b)] = <A_a, B_b> for the light-touch frame {A_a}
+    and the hermitian basis {B_b} of ``twotime._frames``: ``_reconstruct`` of their grid.
     """
     dA, dB = process.dim_in, process.dim_out
     A, B = _basis(_frames(dA)[0], dA), _basis(_frames(dB)[1], dB)
-    dual, condition, _ = A.frame
-    X = _expand(_values(process, A, B), dual, B.stack)
-    return StateOverTime(matrix=X, dimA=dA, dimB=dB, provenance="reconstructed",
-                         condition=condition)
+    return _reconstruct(A, B, _values(process, A, B))
 
 
 def causality_witness(sot: StateOverTime) -> tuple:
@@ -143,34 +145,29 @@ def maximality_counterexample(O_A: Observable):
     |<O_A, O_B> - Tr[(E * rho)(O_A (x) O_B)]|. Pair sums, the scan's tie slack and the
     residual are judged relative to max|lam|, so a rescaled O_A gives the rescaled residual.
     """
-    if O_A.is_light_touch:
-        raise IsLightTouch("light-touch observables admit no counterexample")
-    dec = O_A.spectral
-    scale = float(np.max(np.abs(dec.eigenvalues)))
     m = O_A.dim
-    pair = None
-    for i in range(len(dec.eigenvalues)):
-        for j in range(i + 1, len(dec.eigenvalues)):
-            if abs(dec.eigenvalues[i] + dec.eigenvalues[j]) > CLUSTER_RTOL * scale:
-                pair = (i, j)
-                break
-        if pair:
-            break
-    if pair is None:
+    A = _basis([O_A], m)
+    if A.light_touch:
+        raise IsLightTouch("light-touch observables admit no counterexample")
+    lam = A.eigenvalues
+    scale = float(np.max(np.abs(lam)))
+    # Every (i, j) with i < j and a nonzero sum, row-major: the first is the pair taken.
+    i, j = np.nonzero(np.triu(np.abs(lam[:, None] + lam) > CLUSTER_RTOL * scale, k=1))
+    if not len(i):
         raise InvalidParameter("no eigenvalue pair with nonzero sum found")
-    phi = _first_range_vector(dec.projectors[pair[0]])
-    psi = _first_range_vector(dec.projectors[pair[1]])
+    phi, psi = (_first_range_vector(A.projectors[k]) for k in (i[0], j[0]))
     eta = (phi + psi) / np.sqrt(2)
     process = Process(identity_channel(m), np.outer(eta, eta.conj()))
     X = canonical_sot(process).matrix
 
     basis = _frames(m)[1]
-    devs = np.abs(two_time_grid(process, [O_A], basis) - trace_grid(X, [O_A], basis))[0]
+    B = _basis(basis, m)
+    devs = np.abs(_values(process, A, B) - _traces(X, A.stack, B.stack))[0]
     best = None
     best_dev = -1.0
-    for B, dev in zip(basis, devs.tolist()):
+    for obs, dev in zip(basis, devs.tolist()):
         if dev > best_dev + 1e-15 * scale:
-            best, best_dev = B, dev
+            best, best_dev = obs, dev
     floor = COUNTEREXAMPLE_RTOL * scale
     if best_dev <= floor:
         raise InvalidParameter(f"scan found no violation above {floor:.3e} (max {best_dev:.3e})")

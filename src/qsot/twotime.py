@@ -244,8 +244,9 @@ def _frames(d: int) -> tuple:
     The frame is orthogonal where such a basis is known: the Pauli strings at
     d = 2^m >= 2 and the qutrit SIC-induced basis (W family, chi = 0) at d = 3. At
     every other d it is the light-touch spanning set. This is the one place a
-    light-touch frame is chosen: ``light_touch_probes``, ``reconstruct_unique`` and
-    both modes of ``qsot pdm-reconstruct`` read it, and so share its basis records.
+    light-touch frame is chosen: ``light_touch_probes``, ``reconstruct_unique``, the
+    maximality scan and both modes of ``qsot pdm-reconstruct`` read it, and so share
+    its basis records.
     """
     m = d.bit_length() - 1
     if d == 3:
@@ -259,7 +260,7 @@ def _frames(d: int) -> tuple:
 
 def light_touch_probes(dim_in: int, dim_out: int) -> list:
     """Product probes with light-touch first factors: the frame of ``_frames(dim_in)``
-    (Pauli strings at 2^m, the SIC basis at 3, else the spanning set) x hermitian basis.
+    x the hermitian basis of ``_frames(dim_out)``.
 
     The observables are shared between calls, and their matrices are read-only.
     """

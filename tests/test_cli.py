@@ -272,9 +272,8 @@ def test_condition_number_only_for_expansions(tmp_path):
     assert "condition_number" not in payloads["sot"]
     sampled = payloads["pdm-reconstruct --shots 10"]
     assert sampled["condition_number"] == pytest.approx(1.0, abs=1e-12)
-    # Both modes read the qutrit SIC frame from twotime._frames.
-    assert payloads["pdm-reconstruct"]["condition_number"] == pytest.approx(
-        sampled["condition_number"], rel=1e-12)
+    # Both modes expand over the qutrit SIC frame and the hermitian basis of twotime._frames.
+    assert payloads["pdm-reconstruct"]["condition_number"] == sampled["condition_number"]
     assert "condition_number" not in io.sot_doc(canonical_sot(qutrit_process()))["payload"]
     rec = reconstruct_unique(qutrit_process())
     assert io.sot_doc(rec)["payload"]["condition_number"] == rec.condition
@@ -289,7 +288,7 @@ def test_exact_and_sampled_reconstruction_share_the_frame(tmp_path, dA, dB):
     for extra in ([], ["--shots", "10"]):
         assert main(["pdm-reconstruct", proc_file, *extra, "--out", str(out)]) == 0
         conditions.append(io.load_document(str(out), expect_kind="sot")[1]["condition_number"])
-    assert conditions[0] == pytest.approx(conditions[1], rel=1e-12)
+    assert conditions[0] == conditions[1]
 
 
 def test_stderr_frobenius_only_for_sampled(tmp_path):
@@ -331,10 +330,17 @@ def test_pdm_reconstruct_sampled_over_the_spanning_set(tmp_path):
     assert main(["pdm-reconstruct", proc_file, "--shots", "10", "--out", str(out)]) == 0
     _, payload = io.load_document(str(out), expect_kind="sot")
     assert payload["provenance"] == "sampled"
-    assert payload["condition_number"] == pytest.approx(reconstruct_unique(process).condition,
-                                                        rel=1e-12)
+    assert payload["condition_number"] == reconstruct_unique(process).condition
     M = io.matrix_from_json(payload["matrix"])
     assert np.linalg.norm(M - canonical_sot(process).matrix) <= 3 * payload["stderr_frobenius"]
+
+
+def test_sic_with_a_non_permutation_exits_3_with_one_line(capsys):
+    assert main(["sic", "--permutation", "001"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith("validation error: not a permutation of (0, 1, 2): (0, 0, 1)")
+    assert len(err.splitlines()) == 1
 
 
 def test_sample_with_overflowing_outcome_products_exits_3(tmp_path, capsys):

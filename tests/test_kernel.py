@@ -6,7 +6,8 @@ application per eigenprojector and probe pair, one ``np.kron`` per trace,
 one outer product per Kraus operator for the Choi matrix, the anticommutator
 with the Kronecker-lifted state for the canonical state over time,
 the least-squares reconstruction over a (dA dB)^2-square design matrix
-that the dual-frame expansion replaced, the one-pair draw and the mean and
+that the dual-frame expansion replaced, the expansion over the raw hermitian
+basis that the expansion over both dual frames replaced, the one-pair draw and the mean and
 standard error formula that the sampler's batched draw and moments replaced,
 the sampled reconstruction with one such draw and estimate per basis pair, and
 the ``verify theorems`` suite with one scalar two-time value and trace per pair.
@@ -57,7 +58,7 @@ from qsot import (
     two_time_ev,
     two_time_grid,
 )
-from qsot import sampler
+from qsot import linalg, sampler, twotime
 from qsot.channels import apply
 from qsot.linalg import CLUSTER_RTOL, _decompose, _spectra
 from qsot.observables import gram_matrix, hermitian_basis, light_touch_spanning_set
@@ -170,6 +171,20 @@ def ref_reconstruct(process):
     coeffs, _, rank, _ = np.linalg.lstsq(design, np.asarray(rhs), rcond=None)
     assert rank == len(herm)
     return sum(c * H for c, H in zip(coeffs, herm))
+
+
+def ref_reconstruct_unique(process):
+    """The expansion ``reconstruct_unique`` made over the dual frame of the light-touch frame
+    and the raw hermitian basis: sum_ab <A_a, B_b> A~_a (x) B_b, A~ = G_A^-1 A, hermitian part.
+    """
+    frame, basis = _frames(process.dim_in)[0], _frames(process.dim_out)[1]
+    A = np.array([O.matrix for O in frame])
+    B = np.array([O.matrix for O in basis])
+    dual = np.linalg.solve(gram_matrix(frame), A.reshape(len(A), -1)).reshape(A.shape)
+    X = np.einsum("ab,aij,bkl->ikjl", two_time_grid(process, frame, basis), dual, B,
+                  optimize=True)
+    X = X.reshape(len(A[0]) * len(B[0]), -1)
+    return 0.5 * (X + X.conj().T)
 
 
 def ref_choi(channel):
@@ -697,6 +712,14 @@ def test_reconstruct_unique_matches_closed_form_at_large_d(dA, dB):
         assert np.abs(rec.matrix - canonical_sot(process).matrix).max() <= tol
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 12])
+def test_reconstruct_unique_matches_the_expansion_over_the_raw_hermitian_basis(d):
+    # The hermitian basis is orthonormal, so its dual frame is itself up to roundoff.
+    process = make_process(np.random.default_rng(40 + d), d, d, d)
+    rec = reconstruct_unique(process)
+    assert np.abs(rec.matrix - ref_reconstruct_unique(process)).max() <= TOL
+
+
 def test_light_touch_residual_matches_scalar_loop():
     rng = np.random.default_rng(7)
     for dA, dB in [(2, 3), (3, 3), (4, 2)]:
@@ -722,6 +745,23 @@ def test_maximality_scan_matches_scalar_scan(d):
         assert abs(dev - max(devs)) <= TOL
         best_dev = abs(ref_two_time_ev(process, O_A, best) - ref_trace_value(X, O_A, best))
         assert abs(best_dev - dev) <= TOL
+
+
+def test_a_cold_observable_costs_the_maximality_scan_one_spectral_decomposition(monkeypatch):
+    # O_A's clusters, its class and its row of the scan all come from one record.
+    rng = np.random.default_rng(17)
+    O_A = make_observable(rng, 3, "general")
+    _basis(_frames(3)[1], 3)
+    calls = []
+
+    def counted(H):
+        calls.append(len(H))
+        return _spectra(H)
+
+    monkeypatch.setattr(linalg, "_spectra", counted)
+    monkeypatch.setattr(twotime, "_spectra", counted)
+    maximality_counterexample(O_A)
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("seed", [0xC0FFEE, 5])
@@ -952,7 +992,7 @@ def test_frames_pick_the_light_touch_frame_sampling_used(d):
     condition = record.frame[1]
     assert (abs(condition - 1.0) <= 1e-12) == (d in (1, 2, 3, 4, 8))
     process = random_process(d, 2, np.random.default_rng(d))
-    assert reconstruct_unique(process).condition == condition
+    assert reconstruct_unique(process).condition == condition * _basis(_frames(2)[1], 2).frame[1]
 
 
 STACKS = ("empty", "spanning", "hermitian", "pauli", "sic", "general", "degenerate",

@@ -164,6 +164,14 @@ def test_fiducial_permutation():
     assert np.allclose(psi, np.array([1, 0, 1]) / np.sqrt(2))
 
 
+@pytest.mark.parametrize("permutation", [(0, 0, 1), (), (0, 1, 2, 3)])
+def test_fiducials_reject_a_non_permutation(permutation):
+    with pytest.raises(ParameterOutOfRange):
+        sic_fiducial_w(0.0, permutation)
+    with pytest.raises(ParameterOutOfRange):
+        sic_fiducial_v(0.75, np.pi, np.pi, permutation)
+
+
 def test_sic_orbit_matches_table():
     povm = sic_povm(sic_fiducial_w(0.0))
     for (j, k), comps in PSI_TABLE.items():

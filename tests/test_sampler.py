@@ -97,6 +97,18 @@ def test_estimate_ev_validation():
             ShotRecord(counts=record.counts, shots=shots, seed=0)
 
 
+def test_shot_record_rejects_counts_that_are_not_non_negative_integers():
+    # Each sums to the shots, so only the check on the counts themselves rejects it.
+    bad = [np.array([[-1, 3]]), np.array([[0.5, 1.5]]), np.array([[1.0, 1.0]]),
+           np.array([[True, True]]), np.array([2]), np.array([[[2]]]), [[1, 1]]]
+    for counts in bad:
+        with pytest.raises(InvalidParameter):
+            ShotRecord(counts=counts, shots=2, seed=0)
+    for dtype in (np.int8, np.uint64):
+        record = ShotRecord(counts=np.array([[1, 1]], dtype=dtype), shots=2, seed=0)
+        assert estimate_ev(record, [1.0], [-1.0, 1.0]) == (0.0, 1.0)
+
+
 def test_concentration_on_random_process():
     rng = np.random.default_rng(2)
     proc = random_process(2, 2, rng)
