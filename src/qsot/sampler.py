@@ -4,7 +4,8 @@ The counts of n shots over the outcome pairs (i, j) of the two measurements
 follow Multinomial(n, P(i, j)), with P(i, j) the exact joint distribution. They
 come from one counter-based Philox stream keyed on the seed, so counts are a
 pure function of (seed, shots). One routine, ``_draw``, samples every pair of two
-observable lists in one multinomial call and takes all their moments at once;
+observable lists in one multinomial call, exactly as one draw per pair in turn on the
+stream would, and takes all their moments at once;
 ``estimate_pdm`` hands its records and means to ``sot._reconstruct``, the expansion
 exact reconstruction uses, ``sample_sequential`` is its one-pair case and
 ``estimate_ev`` its moments of one row.
@@ -31,7 +32,7 @@ SHOTS_LIMIT = 1 << 63  # a multinomial draw takes its number of trials as an int
 class ShotRecord:
     """Empirical counts over outcome-index pairs of the two measurements; they sum to shots."""
 
-    counts: np.ndarray  # shape (num outcomes A, num outcomes B)
+    counts: np.ndarray  # a read-only copy, shape (num outcomes A, num outcomes B)
     shots: int
     seed: int
 
@@ -42,6 +43,8 @@ class ShotRecord:
             raise InvalidParameter("counts must be a 2-d array of non-negative integers")
         if not 1 <= self.shots == np.sum(c):
             raise InvalidParameter(f"shots {self.shots} < 1 or != counts sum {np.sum(c)}")
+        object.__setattr__(self, "counts", np.array(c))  # the caller's array may change
+        self.counts.flags.writeable = False
 
     def count(self, i: int, j: int) -> int:
         if not (0 <= i < self.counts.shape[0] and 0 <= j < self.counts.shape[1]):
@@ -55,10 +58,10 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _row_sums(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Row k of x summed over its first sizes[k] cells, as numpy sums those cells alone.
+    """Row k of x summed over its last sizes[k] cells, as numpy sums those cells alone.
 
-    numpy sums under eight numbers one by one from +0.0, so zero padding that narrow
-    changes no bit; from eight on it sums pairwise, so rows of one length are summed
+    numpy sums under eight numbers one by one from +0.0, so leading zero padding that
+    narrow changes no bit; from eight on it sums pairwise, so rows of one length are summed
     together at that length, taken from a set (np.unique imports numpy.ma, 1.5 MiB).
     """
     if x.shape[1] < 8:
@@ -66,7 +69,7 @@ def _row_sums(x: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     out = np.empty(len(x))
     for n in set(sizes.tolist()):
         rows = sizes == n
-        out[rows] = x[rows, :n].sum(axis=1)
+        out[rows] = x[rows, -n:].sum(axis=1)
     return out
 
 
@@ -83,13 +86,13 @@ def _draw(process: Process, basis_A, basis_B, shots: int, seed: int) -> tuple:
 
     Every pair reads its joint distribution from one batched probability table over
     all eigenprojectors of both lists, and each block is checked to sum to 1. Pair
-    k = a len(basis_B) + b is row k of one zero-padded grid, and one multinomial call on
-    the stream ``_rng(seed)`` draws every row. numpy leaves a row's roundoff remainder in
-    its last cell, padding for a narrower pair; it is moved to the pair's last real cell,
-    where a draw over the pair's cells alone puts it, so each pair's counts follow its own
-    multinomial law. Returns the records, then per pair (row-major over its outcome grid,
-    zero-padded): the clamped probabilities, the products lam_i mu_j, the counts, the
-    mean and the sample variance.
+    k = a len(basis_B) + b is row k of one grid, its cells at the end of the row after
+    zero padding, and one multinomial call on the stream ``_rng(seed)`` draws every row.
+    numpy takes nothing from the stream for a cell at p = 0 and gives a row's last cell
+    its remainder, so row k holds exactly what ``multinomial(shots, P_k / P_k.sum())``
+    draws for pair k alone, the pairs drawn in turn on that stream. Returns the records,
+    then per pair (row-major over its outcome grid, after the padding): the clamped
+    probabilities, the products lam_i mu_j, the counts, the mean and the sample variance.
     """
     if not 1 <= shots < SHOTS_LIMIT:
         raise InvalidParameter(f"shots must lie in [1, 2^63), got {shots}")
@@ -99,24 +102,23 @@ def _draw(process: Process, basis_A, basis_B, shots: int, seed: int) -> tuple:
         raise DimensionMismatch("both observable bases must be nonempty")
     A, B = _records(process, basis_A, basis_B)
     table = _joint_table(process, A, B)
-    # Pair (a, b) holds its block's cells row-major at [a, b], zero-padded to the widest
-    # pair: cell t sits at table row A.starts[a] + t // cols[b], column B.starts[b] + t % cols[b].
+    # Pair k = (a, b) holds its block's cells row-major at the end of row k, after zero
+    # padding: cell t >= 0 sits at table row A.starts[a] + t // cols[b], column
+    # B.starts[b] + t % cols[b]; padding (t < 0) reads cell 0 and is zeroed.
     rows, cols = np.diff(A.starts), np.diff(B.starts)
-    i, j = np.divmod(np.arange(rows.max() * cols.max()), cols[:, None])
-    valid = i < rows[:, None, None]
-    r, c = np.where(valid, A.starts[:-1, None, None] + i, 0), B.starts[:-1, None] + j
-    valid = valid.reshape(len(basis_A) * len(basis_B), -1)
-    probs = np.where(valid, table[r, c].reshape(valid.shape), 0.0)
-    products = np.where(valid, (A.eigenvalues[r] * B.eigenvalues[c]).reshape(valid.shape), 0.0)
     sizes = np.outer(rows, cols).ravel()
+    t = np.arange(sizes.max()) - sizes.max() + sizes[:, None]
+    a, b = np.divmod(np.arange(len(sizes))[:, None], len(cols))
+    i, j = np.divmod(np.maximum(t, 0), cols[b])
+    r, c = A.starts[a] + i, B.starts[b] + j
+    probs = np.where(t >= 0, table[r, c], 0.0)
+    products = np.where(t >= 0, A.eigenvalues[r] * B.eigenvalues[c], 0.0)
     totals = _row_sums(probs, sizes)
     off = np.flatnonzero(np.abs(totals - 1.0) > PROB_SUM_TOL)
     if off.size:
         pair = divmod(int(off[0]), len(basis_B))
         raise NumericalFailure(f"joint distribution of pair {pair} sums to {totals[off[0]]}")
     counts = _rng(seed).multinomial(shots, probs / totals[:, None])
-    counts[np.arange(len(counts)), sizes - 1] += np.where(valid, 0, counts).sum(axis=1)
-    counts[~valid] = 0
     return (A, B, probs, products, counts, *_moments(counts, products, sizes, shots))
 
 

@@ -207,13 +207,12 @@ def _unique(observables) -> tuple:
     """The distinct observables by identity, in order of first appearance, and each
     input's index among them.
 
-    One sort of the ids groups the repeats, with no per-element branch. In first-appearance
-    order a list with no repeats is its own distinct list, so shares its record.
+    ``Observable`` hashes by identity, so one dict pass numbers each on first sight; a list
+    with no repeats is its own distinct list, so shares its record.
     """
-    ids = np.fromiter(map(id, observables), dtype=np.intp, count=len(observables))
-    _, first, index = np.unique(ids, return_index=True, return_inverse=True)
-    order = first.argsort()  # its argsort, the inverse permutation, renumbers the groups
-    return [observables[i] for i in first[order].tolist()], order.argsort()[index]
+    index = {}
+    ia = [index.setdefault(o, len(index)) for o in observables]
+    return list(index), ia
 
 
 def representability_residual(process: Process, X, probes) -> float:

@@ -13,9 +13,9 @@ the sampled reconstruction with one such draw and estimate per basis pair, and
 the ``verify theorems`` suite with one scalar two-time value and trace per pair.
 Every grid value, reconstruction and suite residual must match them within
 1e-12 on seeded random instances, and a Choi matrix exactly. A sampled
-reconstruction draws all pairs at once, so it matches the per-pair loop in
-law, and exactly a reference that makes the same single draw and estimates
-each pair on its own.
+reconstruction draws all pairs in one call, which gives exactly the counts of the
+per-pair loop drawing each pair in turn on one stream; against the loop that seeds
+each pair's own stream, it matches in law.
 """
 
 import functools
@@ -140,6 +140,16 @@ def ref_estimate_ev(record, outcomes_A, outcomes_B):
     return mean, float(np.sqrt(max(var, 0.0) / n))
 
 
+def ref_unique(observables):
+    """The distinct observables by identity, in order of first appearance, and each
+    input's index among them: one sort of the ids, and two argsorts to renumber.
+    """
+    ids = np.fromiter(map(id, observables), dtype=np.intp, count=len(observables))
+    _, first, index = np.unique(ids, return_index=True, return_inverse=True)
+    order = first.argsort()
+    return [observables[i] for i in first[order].tolist()], order.argsort()[index]
+
+
 def ref_residual(process, X, probes):
     worst = 0.0
     for O_A, O_B in probes:
@@ -230,30 +240,36 @@ def ref_pair_estimates(process, basis_A, basis_B, shots, seed):
     return means, stderrs
 
 
-def ref_single_draw_estimates(process, basis_A, basis_B, shots, seed):
-    """Per-pair means and standard errors from one multinomial call over all pairs.
+def ref_stream_counts(process, basis_A, basis_B, shots, seed):
+    """Each pair's counts, as a (clusters A, clusters B) array: the per-pair loop on one stream.
 
-    Each pair's block of the batched joint table (a cell at exactly 0 there may hold
-    roundoff in a table of one pair, and a binomial draw at p = 0 takes nothing from
-    the stream), normalized as ``ref_sample_sequential`` normalizes it, is zero-padded
-    to a row of one grid. All rows are drawn in one ``_rng(seed).multinomial`` call, the
-    counts a row leaves in its padding move to the pair's last cell, and each pair
-    goes through its own ``ref_estimate_ev``.
+    Pair by pair in row-major order, its block of the batched joint table (a cell at exactly
+    0 there may hold roundoff in a table of one pair, and a binomial draw at p = 0 takes
+    nothing from the stream), normalized as ``ref_sample_sequential`` normalizes it, is
+    drawn in its own multinomial call on one generator ``_rng(seed)``.
     """
     A, B = _records(process, basis_A, basis_B)
-    table, starts_A, starts_B = _joint_table(process, A, B), A.starts, B.starts
-    blocks = [table[starts_A[a]:starts_A[a + 1], starts_B[b]:starts_B[b + 1]]
-              for a in range(len(basis_A)) for b in range(len(basis_B))]
-    width = max(P.size for P in blocks)
-    grid = np.array([np.pad(p / p.sum(), (0, width - p.size)) for p in map(np.ravel, blocks)])
-    drawn = _rng(seed).multinomial(shots, grid)
+    table, starts_A, starts_B, gen = _joint_table(process, A, B), A.starts, B.starts, _rng(seed)
+    counts = []
+    for a in range(len(basis_A)):
+        for b in range(len(basis_B)):
+            P = table[starts_A[a]:starts_A[a + 1], starts_B[b]:starts_B[b + 1]]
+            p = P.ravel()
+            counts.append(gen.multinomial(shots, p / p.sum()).reshape(P.shape))
+    return counts
+
+
+def ref_stream_estimates(process, basis_A, basis_B, shots, seed):
+    """Per-pair means and standard errors: ``ref_estimate_ev`` of each pair's
+    ``ref_stream_counts``.
+    """
+    counts = iter(ref_stream_counts(process, basis_A, basis_B, shots, seed))
     means, stderrs = np.zeros((2, len(basis_A), len(basis_B)))
-    for k, (row, P) in enumerate(zip(drawn, blocks)):
-        row[P.size - 1] += row[P.size:].sum()
-        a, b = divmod(k, len(basis_B))
-        record = ShotRecord(counts=row[:P.size].reshape(P.shape), shots=shots, seed=seed)
-        means[a, b], stderrs[a, b] = ref_estimate_ev(record, basis_A[a].spectral.eigenvalues,
-                                                     basis_B[b].spectral.eigenvalues)
+    for a, A in enumerate(basis_A):
+        for b, B in enumerate(basis_B):
+            record = ShotRecord(counts=next(counts), shots=shots, seed=seed)
+            means[a, b], stderrs[a, b] = ref_estimate_ev(record, A.spectral.eigenvalues,
+                                                         B.spectral.eigenvalues)
     return means, stderrs
 
 
@@ -487,6 +503,35 @@ def test_sample_sequential_matches_one_pair_draw(seed, dA, dB, rank, kind_A, kin
     assert (record.shots, record.seed) == (shots, draw_seed)
 
 
+def stream_basis(rng, d, kind):
+    """A basis of d x d hermitian matrices whose elements have uneven cluster counts."""
+    if kind == "spanning":
+        return light_touch_spanning_set(d)
+    return orthogonal_basis(rng, d, generic=kind == "generic")
+
+
+@FAST
+# Pairs of 1 to 16 cells; at 2^62 shots numpy's roundoff remainders reach hundreds of counts.
+@example(seed=0, dA=4, dB=4, kind_A="generic", kind_B="spanning", shots=2**62,
+         draw_seed=2**64 - 1)
+@example(seed=1, dA=3, dB=2, kind_A="spanning", kind_B="hermitian", shots=1, draw_seed=0)
+@given(seed=seeds, dA=st.integers(1, 4), dB=st.integers(1, 4),
+       kind_A=st.sampled_from(["spanning", "hermitian", "generic"]),
+       kind_B=st.sampled_from(["spanning", "hermitian", "generic"]),
+       shots=st.sampled_from([1, 10**5, 2**62]), draw_seed=st.integers(0, 2**64 - 1))
+def test_draw_is_the_per_pair_loop_on_one_stream(seed, dA, dB, kind_A, kind_B, shots,
+                                                 draw_seed):
+    rng = np.random.default_rng(seed)
+    process = make_process(rng, dA, dB, dA)
+    basis_A, basis_B = stream_basis(rng, dA, kind_A), stream_basis(rng, dB, kind_B)
+    counts = sampler._draw(process, basis_A, basis_B, shots, draw_seed)[4]
+    want = ref_stream_counts(process, basis_A, basis_B, shots, draw_seed)
+    assert len(counts) == len(want)
+    for row, C in zip(counts, want):
+        assert np.array_equal(row[len(row) - C.size:], C.ravel())
+        assert not row[:len(row) - C.size].any()
+
+
 @FAST
 # Outcome grids of 8 cells and more, which numpy sums pairwise, at each shot count.
 @example(seed=0, nA=2, nB=4, shots=1, scale=1.0)
@@ -509,7 +554,7 @@ def test_estimate_ev_matches_one_pair_formula(seed, nA, nB, shots, scale):
 # Generic 4-cluster elements give pairs of 8 cells, which numpy sums pairwise:
 # this instance fails if padded rows are summed whole.
 @example(seed=0, dA=2, dB=4, rank=4, generic=True, shots=100_000, pdm_seed=0)
-# At 2^62 shots numpy leaves roundoff remainders in the padding of narrow pairs.
+# At 2^62 shots numpy leaves roundoff remainders of hundreds of counts in a row's last cell.
 @example(seed=1, dA=3, dB=4, rank=3, generic=True, shots=2**62, pdm_seed=2**64 - 1)
 @given(seed=seeds, dA=st.integers(1, 4), dB=st.integers(1, 4), rank=ranks,
        generic=st.booleans(), shots=st.one_of(st.sampled_from([1, 2]), st.integers(1, 10**6)),
@@ -519,7 +564,7 @@ def test_estimate_pdm_matches_per_pair_loop(seed, dA, dB, rank, generic, shots, 
     process = make_process(rng, dA, dB, rank)
     basis_A, basis_B = light_touch_basis(rng, dA), orthogonal_basis(rng, dB, generic)
     est = estimate_pdm(process, basis_A, basis_B, shots, pdm_seed)
-    matrix, stderr = ref_expansion(process, basis_A, basis_B, *ref_single_draw_estimates(
+    matrix, stderr = ref_expansion(process, basis_A, basis_B, *ref_stream_estimates(
         process, basis_A, basis_B, shots, pdm_seed))
     assert np.array_equal(est.matrix, matrix)
     assert abs(est.stderr - stderr) <= TOL * stderr
@@ -536,7 +581,7 @@ def test_estimate_pdm_over_spanning_sets_matches_per_pair_loop(seed, dA, dB, sho
     process = make_process(np.random.default_rng(seed), dA, dB, dA)
     basis_A, basis_B = light_touch_spanning_set(dA), light_touch_spanning_set(dB)
     est = estimate_pdm(process, basis_A, basis_B, shots, pdm_seed)
-    means, stderrs = ref_single_draw_estimates(process, basis_A, basis_B, shots, pdm_seed)
+    means, stderrs = ref_stream_estimates(process, basis_A, basis_B, shots, pdm_seed)
     inv_A, inv_B = np.linalg.inv(gram_matrix(basis_A)), np.linalg.inv(gram_matrix(basis_B))
     variance = sum(stderrs[a, b] ** 2 * inv_A[a, a] * inv_B[b, b]
                    for a in range(dA * dA) for b in range(dB * dB))
@@ -652,6 +697,24 @@ def test_canonical_sot_matches_kron():
 
 
 # ------------------------------------------------------------ callers
+
+@settings(FAST, max_examples=100)
+@example(picks=[0])
+@example(picks=[0, 1, 2, 3])
+@example(picks=[0, 1, 0, 1, 2, 0])
+@example(picks=[3, 3, 3])
+@given(picks=st.one_of(st.lists(st.integers(0, 5), min_size=1, max_size=30),
+                       st.permutations(range(8))))
+def test_unique_matches_the_id_sort(picks):
+    # Repeats, all-distinct lists, single elements and interleavings of a few observables.
+    pool = [Observable(np.eye(2) * k) for k in range(8)]
+    observables = tuple(pool[k] for k in picks)
+    distinct, index = twotime._unique(observables)
+    want, want_index = ref_unique(observables)
+    assert len(distinct) == len(want) and all(a is b for a, b in zip(distinct, want))
+    assert list(index) == want_index.tolist()
+    assert all(distinct[k] is o for k, o in zip(index, observables))
+
 
 @FAST
 @given(seed=seeds, dA=dims, dB=dims, rank=ranks, kinds_A=kind_lists, kinds_B=kind_lists)

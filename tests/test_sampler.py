@@ -109,6 +109,17 @@ def test_shot_record_rejects_counts_that_are_not_non_negative_integers():
         assert estimate_ev(record, [1.0], [-1.0, 1.0]) == (0.0, 1.0)
 
 
+def test_shot_record_keeps_a_read_only_copy_of_its_counts():
+    counts = np.array([[1, 1]])
+    record = ShotRecord(counts=counts, shots=2, seed=0)
+    counts[0, 0] = -1  # changing the caller's array leaves the validated record intact
+    assert record.counts.tolist() == [[1, 1]] and record.count(0, 0) == 1
+    assert not record.counts.flags.writeable
+    with pytest.raises(ValueError):
+        record.counts[0, 0] = -1
+    assert estimate_ev(record, [1.0], [-1.0, 1.0]) == (0.0, 1.0)
+
+
 def test_concentration_on_random_process():
     rng = np.random.default_rng(2)
     proc = random_process(2, 2, rng)
@@ -136,27 +147,20 @@ def test_qutrit_protocol_concentration():
     assert abs(mean - exact) <= 5 * max(stderr, 1e-12)
 
 
-def single_draw(process, basis_A, basis_B, shots, seed):
-    """Each pair's counts, as a (clusters A, clusters B) array, from one multinomial call.
+def stream_counts(process, basis_A, basis_B, shots, seed):
+    """Each pair's counts, as a (clusters A, clusters B) array, drawn pair by pair on one stream.
 
     The pairs' joint distributions are the blocks of one ``_joint_table``, as in
     ``estimate_pdm``: a cell at exactly 0 there may hold roundoff in a table of one pair,
-    and a binomial draw at p = 0 takes nothing from the stream. Each block, normalized as
-    ``sample_sequential`` normalizes it, is zero-padded to a row of one grid; all rows are
-    drawn in one call on ``_rng(seed)``, and the counts a row leaves in its padding move to
-    the pair's last cell.
+    and a binomial draw at p = 0 takes nothing from the stream. In row-major order over the
+    pairs, each block, normalized as ``sample_sequential`` normalizes it, is drawn in its
+    own multinomial call on one generator ``_rng(seed)``.
     """
     A, B = _records(process, basis_A, basis_B)
-    table, starts_A, starts_B = _joint_table(process, A, B), A.starts, B.starts
-    probs = [table[starts_A[a]:starts_A[a + 1], starts_B[b]:starts_B[b + 1]]
-             for a in range(len(basis_A)) for b in range(len(basis_B))]
-    width = max(P.size for P in probs)
-    grid = np.array([np.pad(p / p.sum(), (0, width - p.size)) for p in map(np.ravel, probs)])
-    counts = []
-    for row, P in zip(_rng(seed).multinomial(shots, grid), probs):
-        row[P.size - 1] += row[P.size:].sum()
-        counts.append(row[:P.size].reshape(P.shape))
-    return counts
+    table, starts_A, starts_B, gen = _joint_table(process, A, B), A.starts, B.starts, _rng(seed)
+    blocks = [table[starts_A[a]:starts_A[a + 1], starts_B[b]:starts_B[b + 1]]
+              for a in range(len(basis_A)) for b in range(len(basis_B))]
+    return [gen.multinomial(shots, P.ravel() / P.ravel().sum()).reshape(P.shape) for P in blocks]
 
 
 def test_estimate_pdm_matches_direct_expansion():
@@ -164,7 +168,7 @@ def test_estimate_pdm_matches_direct_expansion():
     proc = random_process(2, 2, rng)
     basis = pauli_basis(1)  # 1, 2 and 4 cells per pair: the grid is padded
     seed, shots = 5, 1000
-    counts = iter(single_draw(proc, basis, basis, shots, seed))
+    counts = iter(stream_counts(proc, basis, basis, shots, seed))
     evs = np.zeros((4, 4))
     for a, A in enumerate(basis):
         for b, B in enumerate(basis):
@@ -246,7 +250,7 @@ def test_estimate_pdm_pair_streams_distinct_at_large_seed():
     uniform = [4 * a + b for a in range(1, 4) for b in range(1, 4) if a != b]
     estimates = {}
     for seed in (0, 4_000_000_000, 2**63, 2**64 - 1):
-        counts = single_draw(proc, basis, basis, shots, seed)
+        counts = stream_counts(proc, basis, basis, shots, seed)
         assert len({tuple(counts[k].ravel().tolist()) for k in uniform}) == len(uniform)
         evs = [[estimate_ev(ShotRecord(counts=C, shots=shots, seed=seed),
                             A.spectral.eigenvalues, B.spectral.eigenvalues)[0]
@@ -321,8 +325,9 @@ class RecordingGenerator:
 @example(d=5, shots=2**62, seed=0, process_seed=0)
 def test_estimate_pdm_leaves_no_count_in_padding(d, shots, seed, process_seed):
     # The spanning set holds the identity (one cluster) and dichotomies (two); hermitian_basis
-    # holds two- and, from d = 3 on, three-cluster elements: pairs of 1 to 6 cells. At 2^62
-    # shots numpy leaves roundoff remainders of hundreds of counts in a row's last cell.
+    # holds two- and, from d = 3 on, three-cluster elements: pairs of 1 to 6 cells, each at
+    # the end of its row after the padding. At 2^62 shots numpy leaves roundoff remainders of
+    # hundreds of counts in a row's last cell, the pair's own.
     process = random_process(d, d, np.random.default_rng(process_seed))
     basis_A, basis_B = light_touch_spanning_set(d), hermitian_basis(d)
     sizes = [len(A.spectral.eigenvalues) * len(B.spectral.eigenvalues)
@@ -332,9 +337,12 @@ def test_estimate_pdm_leaves_no_count_in_padding(d, shots, seed, process_seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampler, "_rng", lambda key: RecordingGenerator(_rng(key), drawn))
         sot = estimate_pdm(process, basis_A, basis_B, shots, seed)
-    (counts,) = drawn  # estimate_pdm moves the padding counts in place
+    (counts,) = drawn
+    width = counts.shape[1]
     assert np.all(counts.sum(axis=1) == shots)
-    assert all(not row[n:].any() for row, n in zip(counts, sizes))
+    assert all(not row[:width - n].any() for row, n in zip(counts, sizes))
+    want = stream_counts(process, basis_A, basis_B, shots, seed)
+    assert all(np.array_equal(row[width - n:], C.ravel()) for row, n, C in zip(counts, sizes, want))
     if shots == 2**62:
         # E ||X^ - X||^2 = stderr^2 exactly: 60 such calls gave ratios 0.76 to 1.24, median 1.03.
         assert np.linalg.norm(sot.matrix - canonical_sot(process).matrix) <= 3 * sot.stderr

@@ -7,6 +7,7 @@ from qsot import (
     DimensionMismatch,
     IsLightTouch,
     NotLightTouch,
+    NumericalFailure,
     Observable,
     SingularSystem,
     Process,
@@ -111,6 +112,19 @@ def test_pdm_from_correlations_rejects_empty_bases():
         pdm_from_correlations(2, 2, [], [], np.zeros((0, 0)))
     with pytest.raises(DimensionMismatch):
         pdm_from_correlations(2, 2, basis, [], np.zeros((4, 0)))
+
+
+def test_pdm_from_correlations_rejects_non_finite_data():
+    # All NaN used to give an all-NaN matrix and no error, and inf a RuntimeWarning from
+    # the expansion; one such value anywhere in the grid is rejected as any matrix input is.
+    basis_A, basis_B = pauli_basis(1), hermitian_basis(2)
+    grids = [np.full((4, 4), np.nan), np.full((4, 4), np.inf)]
+    for bad in (np.nan, np.inf, -np.inf):
+        grids.append(np.zeros((4, 4)))
+        grids[-1][1, 2] = bad
+    for evs in grids:
+        with pytest.raises(NumericalFailure, match="NaN/Inf"):
+            pdm_from_correlations(2, 2, basis_A, basis_B, evs)
 
 
 def test_pdm_from_correlations_rejects_bad_bases():
