@@ -6,8 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter
-from .linalg import DENSITY_TOL, TP_TOL, WEIGHT_CUT, as_matrix, check_hermitian
+from .errors import InvalidParameter
+from .linalg import DENSITY_TOL, TP_TOL, WEIGHT_CUT, as_array, check_hermitian
 
 
 class QuantumChannel:
@@ -21,14 +21,11 @@ class QuantumChannel:
     """
 
     def __init__(self, kraus):
-        kraus = [as_matrix(K) for K in kraus]
+        kraus = list(kraus)
         if not kraus:
             raise InvalidParameter("need at least one Kraus operator")
-        shape = kraus[0].shape
-        if any(K.shape != shape for K in kraus):
-            raise DimensionMismatch("Kraus operators must share a common shape")
-        K = np.array(kraus)
-        self.dim_out, self.dim_in = shape
+        K = as_array(kraus, (None, None, None))  # made from a list, so never the caller's array
+        _, self.dim_out, self.dim_in = K.shape
         rows = K.reshape(-1, self.dim_in)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as inf or nan
             tp_residual = float(np.linalg.norm(rows.conj().T @ rows - np.eye(self.dim_in)))
@@ -63,13 +60,9 @@ class Process:
     rho: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        rho = check_hermitian(self.rho)
+        rho = check_hermitian(as_array(self.rho, (self.dim_in, self.dim_in)))
         # Keep the hermitian part, so anti-hermitian roundoff cannot reach the state over time.
         rho = 0.5 * (rho + rho.conj().T)
-        if rho.shape[0] != self.channel.dim_in:
-            raise DimensionMismatch(
-                f"state dimension {rho.shape[0]} != channel input {self.channel.dim_in}"
-            )
         if abs(np.trace(rho).real - 1.0) > DENSITY_TOL:
             raise InvalidParameter(f"state trace {np.trace(rho).real} != 1")
         if np.linalg.eigvalsh(rho).min() < -DENSITY_TOL:
@@ -87,10 +80,7 @@ class Process:
 
 def apply(channel: QuantumChannel, M) -> np.ndarray:
     """Evaluate the channel on M via the Kraus sum."""
-    M = as_matrix(M)
-    d = channel.dim_in
-    if M.shape != (d, d):
-        raise DimensionMismatch(f"expected {(d, d)}, got {M.shape}")
+    M = as_array(M, (channel.dim_in, channel.dim_in))
     out = np.zeros((channel.dim_out, channel.dim_out), dtype=complex)
     for K in channel.kraus:
         out += K @ M @ K.conj().T

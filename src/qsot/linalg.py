@@ -7,11 +7,12 @@ the flattened composite index is ``a * dimB + b``, so ``tensor(A, B)`` is
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian, NumericalFailure
+from .errors import DimensionMismatch, InvalidParameter, NotHermitian, NumericalFailure
 
 # Every threshold the library applies to data. A relative threshold is a
 # multiple of the scale of the data it judges, with no floor, so rescaling an
@@ -35,24 +36,44 @@ SAMPLE_SIGMAS = 5  # a sampled two-time value passes within this many exact stan
 SAMPLE_RTOL = 1e-10  # relative: the roundoff floor added to that bound, against max |lam_i mu_j|
 
 
-def as_matrix(M) -> np.ndarray:
-    """Coerce to a 2-d complex array and reject non-finite entries."""
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2:
-        raise DimensionMismatch(f"expected a matrix, got ndim={M.ndim}")
-    if not np.all(np.isfinite(M)):
-        raise NumericalFailure("matrix contains NaN/Inf entries")
-    return M
+def as_array(x, shape: tuple = (None, None), dtype: type = complex) -> np.ndarray:
+    """The one place an argument becomes an array: np.asarray(x, dtype) if it is valid.
+
+    ``dtype`` is complex, or float for real data, where complex values are rejected even
+    with zero imaginary parts; a None in ``shape`` allows any length on that axis.
+    Non-numbers raise InvalidParameter, a ragged nesting or a wrong shape
+    DimensionMismatch, and NaN/Inf NumericalFailure.
+    """
+    try:
+        a = np.asarray(x)
+        if a.dtype.kind not in ("biufc" if dtype is complex else "biuf"):
+            raise InvalidParameter(f"expected {dtype.__name__} numbers, got {a.dtype} values")
+    except ValueError as exc:  # numpy's error for a ragged nesting
+        raise DimensionMismatch(f"not an array: {exc}") from None
+    a = np.asarray(a, dtype=dtype)
+    if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
+        raise DimensionMismatch(f"expected shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise NumericalFailure("array contains NaN/Inf entries")
+    return a
+
+
+def as_int(n, what: str) -> int:
+    """n as a Python int by ``operator.index``; a bool, a float or a string raises."""
+    try:
+        return operator.index(None if isinstance(n, bool) else n)
+    except TypeError:
+        raise InvalidParameter(f"{what} must be an integer, got {n!r}") from None
 
 
 def check_hermitian(M) -> np.ndarray:
     """Return M if hermitian within HERMITICITY_RTOL of its norm, else raise NotHermitian.
 
-    M is judged divided by its largest real or imaginary part, finite by as_matrix, so
+    M is judged divided by its largest real or imaginary part, finite by as_array, so
     no norm over- or underflows; the parts are divided apart, as a complex division by
     a subnormal overflows.
     """
-    M = as_matrix(M)
+    M = as_array(M)
     if M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"hermitian check needs a square matrix, got {M.shape}")
     scale = max(np.abs(M.real).max(initial=0.0), np.abs(M.imag).max(initial=0.0))
@@ -130,16 +151,12 @@ def _spectra(H: np.ndarray) -> tuple:
 
 def tensor(A, B) -> np.ndarray:
     """Kronecker product under the A-major index convention."""
-    return np.kron(as_matrix(A), as_matrix(B))
+    return np.kron(as_array(A), as_array(B))
 
 
 def partial_trace(M, dimA: int, dimB: int, which: str) -> np.ndarray:
     """Trace out factor ``which`` ('A' or 'B') of a matrix on A x B."""
-    M = as_matrix(M)
-    d = dimA * dimB
-    if M.shape != (d, d):
-        raise DimensionMismatch(f"expected {(d, d)}, got {M.shape}")
-    T = M.reshape(dimA, dimB, dimA, dimB)
+    T = as_array(M, (dimA * dimB, dimA * dimB)).reshape(dimA, dimB, dimA, dimB)
     if which == "A":
         return np.trace(T, axis1=0, axis2=2)
     if which == "B":

@@ -21,6 +21,8 @@ from .linalg import (
     SIC_OVERLAP_TOL,
     SpectralDecomposition,
     _decompose,
+    as_array,
+    as_int,
     check_hermitian,
     hermitian_eigendecomposition,
     tensor,
@@ -119,6 +121,7 @@ def weyl_heisenberg(j: int, k: int, d: int = 3) -> np.ndarray:
     The half-power of w = exp(2 pi i / d) is taken on the principal branch,
     exp(i pi j k / d), matching the printed d=3 operator table.
     """
+    j, k = as_int(j, "j"), as_int(k, "k")
     if not (0 <= j < d and 0 <= k < d):
         raise InvalidIndex(f"indices must lie in 0..{d - 1}")
     G = np.zeros((d, d), dtype=complex)
@@ -182,7 +185,7 @@ def sic_povm(fiducial) -> SicPovm:
     distinct-pair overlaps must equal 1/4 within tolerance, else
     FailedOverlapCondition reports the worst pair.
     """
-    psi = np.asarray(fiducial, dtype=complex).reshape(3)
+    psi = as_array(fiducial, (3,))
     if abs(np.linalg.norm(psi) - 1.0) > FIDUCIAL_NORM_TOL:
         raise FailedOverlapCondition("fiducial is not a unit vector")
     projectors = []

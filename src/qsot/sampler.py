@@ -19,7 +19,7 @@ import numpy as np
 
 from .channels import Process
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidParameter, NumericalFailure
-from .linalg import PROB_SUM_TOL
+from .linalg import PROB_SUM_TOL, as_array, as_int
 from .observables import Observable
 from .sot import StateOverTime, _reconstruct
 from .twotime import _joint_table, _records
@@ -41,15 +41,27 @@ class ShotRecord:
         if not (isinstance(c, np.ndarray) and c.ndim == 2 and c.dtype.kind in "iu"
                 and c.min(initial=0) >= 0):
             raise InvalidParameter("counts must be a 2-d array of non-negative integers")
-        if not 1 <= self.shots == np.sum(c):
-            raise InvalidParameter(f"shots {self.shots} < 1 or != counts sum {np.sum(c)}")
+        shots, _ = _check_shots_seed(self.shots, self.seed)
+        if shots != np.sum(c):
+            raise InvalidParameter(f"shots {shots} != counts sum {np.sum(c)}")
         object.__setattr__(self, "counts", np.array(c))  # the caller's array may change
         self.counts.flags.writeable = False
 
     def count(self, i: int, j: int) -> int:
+        i, j = as_int(i, "i"), as_int(j, "j")
         if not (0 <= i < self.counts.shape[0] and 0 <= j < self.counts.shape[1]):
             raise IndexOutOfRange(f"outcome pair ({i}, {j}) outside counts {self.counts.shape}")
         return int(self.counts[i, j])
+
+
+def _check_shots_seed(shots, seed) -> tuple:
+    """shots in [1, 2^63) and seed in [0, 2^64), as Python ints."""
+    shots, seed = as_int(shots, "shots"), as_int(seed, "seed")
+    if not 1 <= shots < SHOTS_LIMIT:
+        raise InvalidParameter(f"shots must lie in [1, 2^63), got {shots}")
+    if not 0 <= seed < SEED_LIMIT:
+        raise InvalidParameter(f"seed must lie in [0, 2^64), got {seed}")
+    return shots, seed
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -94,10 +106,7 @@ def _draw(process: Process, basis_A, basis_B, shots: int, seed: int) -> tuple:
     then per pair (row-major over its outcome grid, after the padding): the clamped
     probabilities, the products lam_i mu_j, the counts, the mean and the sample variance.
     """
-    if not 1 <= shots < SHOTS_LIMIT:
-        raise InvalidParameter(f"shots must lie in [1, 2^63), got {shots}")
-    if not 0 <= seed < SEED_LIMIT:
-        raise InvalidParameter(f"seed must lie in [0, 2^64), got {seed}")
+    shots, seed = _check_shots_seed(shots, seed)
     if not len(basis_A) or not len(basis_B):
         raise DimensionMismatch("both observable bases must be nonempty")
     A, B = _records(process, basis_A, basis_B)
@@ -131,8 +140,8 @@ def sample_sequential(process: Process, O_A: Observable, O_B: Observable,
 
 def estimate_ev(record: ShotRecord, outcomes_A, outcomes_B) -> tuple:
     """Mean and standard error of the product random variable: ``_moments`` of one row."""
-    outcomes_A = np.asarray(outcomes_A, dtype=float)
-    outcomes_B = np.asarray(outcomes_B, dtype=float)
+    outcomes_A = as_array(outcomes_A, (None,), float)
+    outcomes_B = as_array(outcomes_B, (None,), float)
     if record.counts.shape != (len(outcomes_A), len(outcomes_B)):
         raise IndexOutOfRange(f"counts shape {record.counts.shape} != outcome grid "
                               f"({len(outcomes_A)}, {len(outcomes_B)})")

@@ -13,9 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import Process, identity_channel
-from .errors import (DimensionMismatch, InvalidParameter, IsLightTouch, NotLightTouch,
-                     NumericalFailure)
-from .linalg import CLUSTER_RTOL, COUNTEREXAMPLE_RTOL
+from .errors import DimensionMismatch, InvalidParameter, IsLightTouch, NotLightTouch
+from .linalg import CLUSTER_RTOL, COUNTEREXAMPLE_RTOL, as_array
 from .observables import Observable
 from .twotime import _Basis, _basis, _frames, _traces, _values
 
@@ -99,13 +98,7 @@ def pdm_from_correlations(dimA: int, dimB: int, basis_A, basis_B, evs) -> StateO
     basis_A must be dimA^2 independent light-touch observables, basis_B dimB^2
     independent hermitian ones, and every value finite.
     """
-    if not len(basis_A) or not len(basis_B):
-        raise DimensionMismatch("both observable bases must be nonempty")
-    evs = np.asarray(evs, dtype=float)
-    if evs.shape != (len(basis_A), len(basis_B)):
-        raise DimensionMismatch(f"evs shape {evs.shape} != ({len(basis_A)}, {len(basis_B)})")
-    if not np.all(np.isfinite(evs)):
-        raise NumericalFailure("evs contains NaN/Inf entries")
+    evs = as_array(evs, (len(basis_A), len(basis_B)), float)
     return _reconstruct(_basis(basis_A, dimA), _basis(basis_B, dimB), evs)
 
 

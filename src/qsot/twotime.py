@@ -16,7 +16,7 @@ import numpy as np
 
 from .channels import Process, isometry_embed, random_hermitian
 from .errors import DimensionMismatch, InvalidParameter, NumericalFailure, SingularSystem
-from .linalg import PROB_NEG_LIMIT, PROB_SUM_TOL, _spectra
+from .linalg import PROB_NEG_LIMIT, PROB_SUM_TOL, _spectra, as_array
 from .observables import (Observable, _classify, hermitian_basis, light_touch_basis_qutrit,
                           light_touch_spanning_set, pauli_basis, sic_fiducial_w, sic_povm)
 
@@ -140,13 +140,6 @@ def _traces(X: np.ndarray, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (At @ Xt @ Bt.T).real
 
 
-def _check_sot_shape(X, dA: int, dB: int) -> np.ndarray:
-    X = np.asarray(X, dtype=complex)
-    if X.shape != (dA * dB, dA * dB):
-        raise DimensionMismatch(f"X must be {(dA * dB, dA * dB)}, got {X.shape}")
-    return X
-
-
 def two_time_grid(process: Process, As, Bs) -> np.ndarray:
     """The (nA, nB) array of <A_a, B_b> = Tr[E(L_a) B_b], L_a = sum_i lam_i P_i rho P_i.
 
@@ -163,7 +156,7 @@ def trace_grid(X, As, Bs) -> np.ndarray:
         return np.zeros((len(As), len(Bs)))
     A = _basis(As, As[0].dim, "O_A", "first O_A").stack
     B = _basis(Bs, Bs[0].dim, "O_B", "first O_B").stack
-    return _traces(_check_sot_shape(X, A.shape[1], B.shape[1]), A, B)
+    return _traces(as_array(X, (A.shape[1] * B.shape[1],) * 2), A, B)
 
 
 def _joint_table(process: Process, A: _Basis, B: _Basis) -> np.ndarray:
@@ -223,8 +216,7 @@ def representability_residual(process: Process, X, probes) -> float:
     second observables make one grid of each side, and both sides' norms
     come from their records.
     """
-    dA, dB = process.dim_in, process.dim_out
-    X = _check_sot_shape(X, dA, dB)
+    X = as_array(X, (process.dim_in * process.dim_out,) * 2)
     probes = list(probes)
     if not probes:
         return 0.0

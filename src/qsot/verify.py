@@ -20,6 +20,7 @@ from .channels import (
     random_hermitian,
     random_process,
 )
+from .errors import InvalidParameter
 from .observables import (
     Observable,
     gram_matrix,
@@ -217,5 +218,5 @@ def run_suites(names, dims=(2, 3), trials: int = 25, seed: int = 0xC0FFEE,
         elif name == "sic":
             out.append(verify_sic(seed=seed, tol=tol))
         else:
-            raise ValueError(f"unknown suite {name!r}")
+            raise InvalidParameter(f"unknown suite {name!r}")
     return out
