@@ -177,11 +177,14 @@ def random_channel(dim_in: int, dim_out: int, rng: np.random.Generator,
 
 
 def random_density(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Random full-rank density matrix from a Ginibre matrix."""
+    """Random full-rank density matrix from a Ginibre matrix: the hermitian part of
+    G G^dagger / Tr, so it equals its conjugate transpose exactly and its diagonal is real.
+    """
     d = as_int(d, "d", 1)
     G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = G @ G.conj().T
-    return rho / np.trace(rho).real
+    rho = rho / np.trace(rho).real
+    return (rho + rho.conj().T) / 2
 
 
 def random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:

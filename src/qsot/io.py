@@ -12,7 +12,8 @@ import json
 import numpy as np
 
 from .channels import Process, QuantumChannel
-from .errors import QsotError
+from .errors import InvalidParameter, QsotError
+from .linalg import as_int
 from .observables import Observable
 from .sot import StateOverTime, causality_witness
 
@@ -44,6 +45,19 @@ def _object(value, what: str) -> dict:
     return value
 
 
+def _declared(payload: dict, key: str):
+    """The payload's declared ``key`` through ``linalg.as_int``, or None if not declared.
+
+    A declared size that is not an integer (a bool, a float, a string) is malformed.
+    """
+    if key not in payload:
+        return None
+    try:
+        return as_int(payload[key], f"declared {key}")
+    except InvalidParameter as exc:
+        raise ParseError(str(exc)) from exc
+
+
 def envelope(kind: str, payload: dict) -> dict:
     if kind not in KINDS:
         raise ParseError(f"unknown document kind {kind!r}")
@@ -68,7 +82,8 @@ def open_envelope(doc: dict, expect_kind: str | None = None) -> tuple:
 
 def state_from_payload(payload: dict) -> np.ndarray:
     rho = matrix_from_json(_object(payload, "state payload").get("matrix"))
-    if "dim" in payload and rho.shape != (payload["dim"], payload["dim"]):
+    dim = _declared(payload, "dim")
+    if dim is not None and rho.shape != (dim, dim):
         raise ParseError("state matrix shape disagrees with declared dim")
     return rho
 
@@ -99,7 +114,8 @@ def channel_from_payload(payload: dict) -> QuantumChannel:
     kraus = [matrix_from_json(K) for K in kraus_data]
     channel = QuantumChannel(kraus)
     for key in ("dim_in", "dim_out"):
-        if key in payload and payload[key] != getattr(channel, key):
+        dim = _declared(payload, key)
+        if dim is not None and dim != getattr(channel, key):
             raise ParseError(f"declared {key} disagrees with Kraus shapes")
     return channel
 

@@ -5,14 +5,16 @@ follow Multinomial(n, P(i, j)), with P(i, j) the exact joint distribution. They
 come from one counter-based Philox stream keyed on the seed, so counts are a
 pure function of (seed, shots). One routine, ``_draw``, samples every pair of two
 observable lists in one multinomial call, exactly as one draw per pair in turn on the
-stream would, and takes all their moments at once;
-``estimate_pdm`` hands its records and means to ``sot._reconstruct``, the expansion
-exact reconstruction uses, ``sample_sequential`` is its one-pair case and
-``estimate_ev`` its moments of one row.
+stream would, and takes all their moments at once. Its padded pair layout depends on the
+lists' cluster counts alone, so ``_layout`` builds it once per pair of cluster layouts and
+keeps it in a bounded memo. ``estimate_pdm`` hands ``_draw``'s records and means to
+``sot._reconstruct``, the expansion exact reconstruction uses, ``sample_sequential`` is
+``_draw``'s one-pair case and ``estimate_ev`` its moments of one row.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -93,6 +95,30 @@ def _moments(counts: np.ndarray, products: np.ndarray, sizes: np.ndarray, n: int
     return means, var
 
 
+@functools.lru_cache(maxsize=16)  # the bound of ``twotime._record``
+def _layout(starts_A: bytes, starts_B: bytes) -> tuple:
+    """The padded pair layout of two records, from the bytes of their cluster ``starts``.
+
+    Pair k = a nB + b holds its block's cells row-major at the end of row k, after zero
+    padding: cell t >= 0 of it is table cell (starts_A[a] + t // cols[b], starts_B[b] +
+    t % cols[b]), with cols the cluster counts of B. Returns, read-only, the cells per pair
+    and one index per (pair, cell) into the flattened table with one zero appended;
+    padding (t < 0) points at that zero. It depends on the cluster counts alone, so every
+    pair of bases with the same counts shares one memo entry, and no record is kept alive.
+    """
+    starts_A, starts_B = (np.frombuffer(s, dtype=int) for s in (starts_A, starts_B))
+    rows, cols = np.diff(starts_A), np.diff(starts_B)
+    sizes = np.outer(rows, cols).ravel()
+    t = np.arange(sizes.max()) - sizes.max() + sizes[:, None]
+    a, b = np.divmod(np.arange(len(sizes))[:, None], len(cols))
+    i, j = np.divmod(np.maximum(t, 0), cols[b])
+    cells = np.where(t >= 0, (starts_A[a] + i) * starts_B[-1] + starts_B[b] + j,
+                     starts_A[-1] * starts_B[-1])
+    for M in (sizes, cells):
+        M.flags.writeable = False
+    return sizes, cells
+
+
 def _draw(process: Process, basis_A, basis_B, shots: int, seed: int) -> tuple:
     """Sample every pair (A_a, B_b) of two observable lists and take its moments.
 
@@ -100,28 +126,22 @@ def _draw(process: Process, basis_A, basis_B, shots: int, seed: int) -> tuple:
     all eigenprojectors of both lists, and each block is checked to sum to 1. Pair
     k = a len(basis_B) + b is row k of one grid, its cells at the end of the row after
     zero padding, and one multinomial call on the stream ``_rng(seed)`` draws every row.
-    numpy takes nothing from the stream for a cell at p = 0 and gives a row's last cell
-    its remainder, so row k holds exactly what ``multinomial(shots, P_k / P_k.sum())``
-    draws for pair k alone, the pairs drawn in turn on that stream. Returns the records,
-    then per pair (row-major over its outcome grid, after the padding): the clamped
-    probabilities, the products lam_i mu_j, the counts, the mean and the sample variance.
+    The grid's index arithmetic is ``_layout``'s, built once per pair of cluster layouts
+    and kept in its bounded memo. numpy takes nothing from the stream for a cell at
+    p = 0 and gives a row's last cell its remainder, so row k holds exactly what
+    ``multinomial(shots, P_k / P_k.sum())`` draws for pair k alone, the pairs drawn in
+    turn on that stream. Returns the records, then per pair (row-major over its outcome
+    grid, after the padding): the clamped probabilities, the products lam_i mu_j, the
+    counts, the mean and the sample variance.
     """
     shots, seed = _check_shots_seed(shots, seed)
     if not len(basis_A) or not len(basis_B):
         raise DimensionMismatch("both observable bases must be nonempty")
     A, B = _records(process, basis_A, basis_B)
     table = _joint_table(process, A, B)
-    # Pair k = (a, b) holds its block's cells row-major at the end of row k, after zero
-    # padding: cell t >= 0 sits at table row A.starts[a] + t // cols[b], column
-    # B.starts[b] + t % cols[b]; padding (t < 0) reads cell 0 and is zeroed.
-    rows, cols = np.diff(A.starts), np.diff(B.starts)
-    sizes = np.outer(rows, cols).ravel()
-    t = np.arange(sizes.max()) - sizes.max() + sizes[:, None]
-    a, b = np.divmod(np.arange(len(sizes))[:, None], len(cols))
-    i, j = np.divmod(np.maximum(t, 0), cols[b])
-    r, c = A.starts[a] + i, B.starts[b] + j
-    probs = np.where(t >= 0, table[r, c], 0.0)
-    products = np.where(t >= 0, A.eigenvalues[r] * B.eigenvalues[c], 0.0)
+    sizes, cells = _layout(A.starts.tobytes(), B.starts.tobytes())
+    probs = np.append(table, 0.0)[cells]
+    products = np.append(np.outer(A.eigenvalues, B.eigenvalues), 0.0)[cells]
     totals = _row_sums(probs, sizes)
     off = np.flatnonzero(np.abs(totals - 1.0) > PROB_SUM_TOL)
     if off.size:

@@ -211,6 +211,14 @@ def verify_sic(seed: int = 0xC0FFEE, tol: float | None = None) -> SuiteReport:
 
 def run_suites(names, dims=(2, 3), trials: int = 25, seed: int = 0xC0FFEE,
                tol: float | None = None) -> list:
+    """The named suites' reports, in order.
+
+    One range rule holds for every suite, whether or not it reads the value: trials
+    at least 1 and every dimension in 2..6. It is checked before any suite runs.
+    """
+    as_int(trials, "trials", 1)
+    if not all(2 <= as_int(d, "dims entry") <= 6 for d in dims):
+        raise InvalidParameter("dims must lie in 2..6")
     out = []
     for name in names:
         if name == "theorems":

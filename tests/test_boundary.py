@@ -48,11 +48,14 @@ from qsot import (
     trace_grid,
     weyl_heisenberg,
 )
+from qsot import io
+from qsot.cli import main
 from qsot.linalg import as_array
 from qsot.twotime import general_probes
 from qsot.verify import run_suites, verify_theorems
 
 NAN, INF = float("nan"), float("inf")
+ONE = io.matrix_to_json(np.eye(1))
 QUBIT = Process(identity_channel(2), np.eye(2) / 2)
 P1, H2 = pauli_basis(1), hermitian_basis(2)
 RECORD = ShotRecord(counts=np.array([[1, 1], [1, 1]]), shots=4, seed=0)
@@ -305,3 +308,34 @@ def test_estimate_ev_overflow_raises_numerical_failure_and_no_warning(x):
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailure, match="overflow the float range"):
             estimate_ev(record, [x], [x, -x])
+
+
+# A size a document declares: the payload with the size set, and the reader of the payload.
+DECLARED = {
+    "dim": (lambda v: {"dim": v, "matrix": ONE}, io.state_from_payload),
+    "dim_in": (lambda v: {"dim_in": v, "kraus": [ONE]}, io.channel_from_payload),
+    "dim_out": (lambda v: {"dim_out": v, "kraus": [ONE]}, io.channel_from_payload),
+}
+
+
+@pytest.mark.parametrize("key", DECLARED)
+@pytest.mark.parametrize("value", [1.0, True, "1", None, [1]])
+def test_a_declared_size_that_is_not_an_integer_is_a_parse_error(key, value):
+    payload, read = DECLARED[key]
+    with pytest.raises(io.ParseError, match=rf"^declared {key} must be an integer, got "):
+        read(payload(value))
+    read(payload(1))
+    with pytest.raises(io.ParseError, match=rf"declared {key}$|with Kraus shapes$"):
+        read(payload(2))
+
+
+@pytest.mark.parametrize("key", DECLARED)
+def test_a_document_declaring_a_float_size_exits_2_naming_the_field(key, tmp_path, capsys):
+    doc = io.process_doc(Process(identity_channel(1), np.eye(1)))
+    part = doc["payload"]["state" if key == "dim" else "channel"]
+    part[key] = 1.0
+    path = tmp_path / "process.json"
+    io.dump_document(doc, str(path))
+    assert main(["sot", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"parse error: declared {key} must be an integer, got 1.0\n")

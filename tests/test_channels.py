@@ -238,6 +238,14 @@ def test_discard_prepare_keeps_the_hermitian_part():
     assert np.array_equal(got.jamiolkowski, want.jamiolkowski)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 6])
+def test_random_density_is_exactly_hermitian(d):
+    rho = random_density(d, np.random.default_rng(1))
+    assert np.array_equal(rho, rho.conj().T)
+    assert not np.diagonal(rho).imag.any()
+    assert abs(np.trace(rho).real - 1.0) <= 1e-15 * d
+
+
 def test_depolarizing_parameter_range():
     with pytest.raises(InvalidParameter):
         depolarizing(2, 1.5)

@@ -133,16 +133,23 @@ def test_verify_suites_pass(tmp_path):
             assert claim["passed"], claim
 
 
-def test_verify_rejects_bad_dims():
-    assert main(["verify", "theorems", "--dims", "9", "--trials", "1"]) == 3
+def test_verify_rejects_bad_dims(capsys):
+    # One range rule, checked before any suite runs: nogo and sic read no --dims, and
+    # reject an out-of-range one all the same.
+    for suite in ("theorems", "nogo", "sic", "all"):
+        for dims in ("9", "2,1"):
+            assert main(["verify", suite, "--dims", dims, "--trials", "1"]) == 3
+            assert capsys.readouterr() == ("", "validation error: dims must lie in 2..6\n")
 
 
 def test_verify_rejects_bad_trials(capsys):
-    # verify_theorems reads --trials through as_int, so the library's error exits 3.
-    for trials in ("0", "-1"):
-        assert main(["verify", "theorems", "--dims", "2", "--trials", trials]) == 3
-        err = capsys.readouterr().err
-        assert err == f"validation error: trials must be an integer at least 1, got {trials}\n"
+    # run_suites reads --trials through as_int before any suite runs, so the library's
+    # error exits 3 for every suite, nogo and sic too, which read no --trials.
+    for suite in ("theorems", "nogo", "sic", "all"):
+        for trials in ("0", "-1", "-3"):
+            assert main(["verify", suite, "--dims", "2", "--trials", trials]) == 3
+            assert capsys.readouterr() == (
+                "", f"validation error: trials must be an integer at least 1, got {trials}\n")
 
 
 def test_sample_deterministic_case(tmp_path):

@@ -9,7 +9,8 @@ the least-squares reconstruction over a (dA dB)^2-square design matrix
 that the dual-frame expansion replaced, the expansion over the raw hermitian
 basis that the expansion over both dual frames replaced, the one-pair draw and the mean and
 standard error formula that the sampler's batched draw and moments replaced,
-the sampled reconstruction with one such draw and estimate per basis pair, and
+the sampled reconstruction with one such draw and estimate per basis pair, the
+padded pair grid rebuilt on every draw that the sampler's layout memo replaced, and
 the ``verify theorems`` suite with one scalar two-time value and trace per pair.
 Every grid value, reconstruction and suite residual must match them within
 1e-12 on seeded random instances, and a Choi matrix exactly. A sampled
@@ -271,6 +272,25 @@ def ref_stream_estimates(process, basis_A, basis_B, shots, seed):
             means[a, b], stderrs[a, b] = ref_estimate_ev(record, A.spectral.eigenvalues,
                                                          B.spectral.eigenvalues)
     return means, stderrs
+
+
+def ref_draw(process, basis_A, basis_B, shots, seed):
+    """``sampler._draw`` past its records, with the padded pair grid rebuilt on every call
+    from the records' cluster starts: the probabilities, products, counts, means and
+    variances.
+    """
+    A, B = _records(process, basis_A, basis_B)
+    table = _joint_table(process, A, B)
+    rows, cols = np.diff(A.starts), np.diff(B.starts)
+    sizes = np.outer(rows, cols).ravel()
+    t = np.arange(sizes.max()) - sizes.max() + sizes[:, None]
+    a, b = np.divmod(np.arange(len(sizes))[:, None], len(cols))
+    i, j = np.divmod(np.maximum(t, 0), cols[b])
+    r, c = A.starts[a] + i, B.starts[b] + j
+    probs = np.where(t >= 0, table[r, c], 0.0)
+    products = np.where(t >= 0, A.eigenvalues[r] * B.eigenvalues[c], 0.0)
+    counts = _rng(seed).multinomial(shots, probs / sampler._row_sums(probs, sizes)[:, None])
+    return (probs, products, counts, *sampler._moments(counts, products, sizes, shots))
 
 
 def ref_expansion(process, basis_A, basis_B, means, stderrs):
@@ -634,6 +654,69 @@ def test_estimate_pdm_names_the_pair_that_does_not_sum_to_one(monkeypatch):
     monkeypatch.setattr(sampler, "_joint_table", lambda *args: table)
     with pytest.raises(NumericalFailure, match=r"pair \(2, 1\) sums to 1\.00000"):
         estimate_pdm(process, basis, basis, 10, seed=1)
+
+
+# ------------------------------------------------------------ the sampler's layout memo
+
+def assert_draw_is_the_uncached_grid(process, basis_A, basis_B, shots=1000, seed=3):
+    got, want = sampler._draw(process, basis_A, basis_B, shots, seed)[2:], \
+        ref_draw(process, basis_A, basis_B, shots, seed)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert np.array_equal(g, w)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+def test_layout_memo_tells_equal_sizes_with_swapped_blocks_apart():
+    # The first two pairs have equal sizes (2, 2), of 1 x 2 blocks against 2 x 1 ones;
+    # the third shares the first's A layout and the second's B layout. A memo keyed on
+    # sizes, on A alone or on B alone hands one of them another's grid.
+    rng = np.random.default_rng(17)
+    process = make_process(rng, 2, 2, 2)
+    one, two = Observable(np.eye(2)), make_observable(rng, 2, "general")
+    scalars = [make_observable(rng, 2, "scalar") for _ in range(2)]
+    pairs = [([one], [two, make_observable(rng, 2, "light-touch")]),  # (1) x (2, 2)
+             ([two], scalars),  # (2) x (1, 1)
+             ([one], scalars)]  # (1) x (1, 1)
+    sampler._layout.cache_clear()
+    for _ in range(3):
+        for basis_A, basis_B in pairs:
+            assert_draw_is_the_uncached_grid(process, basis_A, basis_B)
+    assert sampler._layout.cache_info().currsize == len(pairs)
+
+
+def test_layout_memo_rebuilds_a_layout_evicted_past_its_bound():
+    process = make_process(np.random.default_rng(18), 3, 2, 3)
+    H3, H2 = hermitian_basis(3), hermitian_basis(2)
+    pairs = [(H3[:k], basis_B) for basis_B in (H2[:1], H2) for k in range(1, 10)]
+    sampler._layout.cache_clear()
+    size = sampler._layout.cache_info().maxsize
+    assert len(pairs) > size
+    for basis_A, basis_B in pairs:
+        assert_draw_is_the_uncached_grid(process, basis_A, basis_B)
+        assert sampler._layout.cache_info().currsize <= size
+    misses = sampler._layout.cache_info().misses
+    assert misses == len(pairs)
+    assert_draw_is_the_uncached_grid(process, *pairs[0])
+    assert sampler._layout.cache_info().misses == misses + 1
+
+
+def test_layout_cold_and_warm_draws_agree_bit_for_bit():
+    rng = np.random.default_rng(19)
+    process = make_process(rng, 3, 4, 3)
+    basis_A, basis_B = light_touch_spanning_set(3), orthogonal_basis(rng, 4, generic=True)
+    sampler._layout.cache_clear()
+    cold = sampler._draw(process, basis_A, basis_B, 10**5, 11)
+    info = sampler._layout.cache_info()
+    warm = sampler._draw(process, basis_A, basis_B, 10**5, 11)
+    assert sampler._layout.cache_info().hits == info.hits + 1
+    for c, w in zip(cold[2:], warm[2:]):
+        assert np.array_equal(c, w)
+    assert_draw_is_the_uncached_grid(process, basis_A, basis_B, 10**5, 11)
+    A, B = cold[:2]
+    for M in sampler._layout(A.starts.tobytes(), B.starts.tobytes()):
+        assert not M.flags.writeable
 
 
 # ------------------------------------------------------------ uniqueness over any frame
