@@ -241,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated dimensions in 2..6")
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--tol", type=_tol, default=None,
-                   help="override default verification tolerances")
+                   help='replaces CLAIM_TOL (1e-10) for every "max" claim, 0 included; '
+                        '"min" claims keep their floors')
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

@@ -80,12 +80,17 @@ def open_envelope(doc: dict, expect_kind: str | None = None) -> tuple:
     return kind, payload
 
 
-def state_from_payload(payload: dict) -> np.ndarray:
-    rho = matrix_from_json(_object(payload, "state payload").get("matrix"))
+def _square(payload: dict, kind: str) -> np.ndarray:
+    """The matrix of a ``kind`` document's payload, checked against its declared dim."""
+    M = matrix_from_json(_object(payload, f"{kind} payload").get("matrix"))
     dim = _declared(payload, "dim")
-    if dim is not None and rho.shape != (dim, dim):
-        raise ParseError("state matrix shape disagrees with declared dim")
-    return rho
+    if dim is not None and M.shape != (dim, dim):
+        raise ParseError(f"{kind} matrix shape disagrees with declared dim")
+    return M
+
+
+def state_from_payload(payload: dict) -> np.ndarray:
+    return _square(payload, "state")
 
 
 def observable_doc(obs: Observable) -> dict:
@@ -93,7 +98,7 @@ def observable_doc(obs: Observable) -> dict:
 
 
 def observable_from_payload(payload: dict) -> Observable:
-    return Observable(state_from_payload(payload))
+    return Observable(_square(payload, "observable"))
 
 
 def channel_doc(channel: QuantumChannel) -> dict:

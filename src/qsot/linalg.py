@@ -32,9 +32,14 @@ SIC_ANGLE_TOL = 1e-10  # absolute: |theta - a| in radians from the nearest V-fam
 #                        an error of 1e-10 moves the SIC overlaps by less than SIC_OVERLAP_TOL
 WEIGHT_CUT = 1e-15  # absolute: prepared-state eigenvalues at or below it get no Kraus operators
 COUNTEREXAMPLE_RTOL = 1e-6  # relative: the least maximality-counterexample residual,
-#                             against max |eigenvalue| of the first observable
+#                             against max |eigenvalue| of the first observable; `verify`'s
+#                             maximality claim floors its least residual at the same number
 SAMPLE_SIGMAS = 5  # a sampled two-time value passes within this many exact standard errors
 SAMPLE_RTOL = 1e-10  # relative: the roundoff floor added to that bound, against max |lam_i mu_j|
+CLAIM_TOL = 1e-10  # absolute: the largest residual of each "max" claim of `verify`, a
+#                    roundoff-sized normalized deviation or norm; `--tol` replaces it
+NOGO_RESIDUAL_MIN = 0.1  # absolute: the least general-probe residual of `verify`'s no-go
+#                          witnesses, whose exact nonlinearity gap is 2
 
 
 def as_array(x, shape: tuple = (None, None), dtype: type = complex) -> np.ndarray:

@@ -1,43 +1,27 @@
 """Numerical verification suites for the library's structural claims.
 
-Each suite runs seeded random instances, records the worst residual per claim
-against a fixed tolerance, and reports pass/fail. Suites back the CLI's
-``verify`` subcommand.
+Each suite runs seeded random instances and records the worst residual per claim,
+judged by the ``linalg`` tolerance table: a "max" claim passes at residual <= CLAIM_TOL
+(or ``run_suites``' ``tol``), a "min" claim at residual >= its floor. Suites back the
+CLI's ``verify`` subcommand.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channels import (
-    Process,
-    apply,
-    discard_prepare,
-    random_density,
-    random_hermitian,
-    random_process,
-)
+from .channels import (Process, apply, discard_prepare, random_density, random_hermitian,
+                       random_process)
 from .errors import InvalidParameter
-from .linalg import as_int
-from .observables import (
-    Observable,
-    gram_matrix,
-    light_touch_basis_qutrit,
-    sic_fiducial_v,
-    sic_fiducial_w,
-    sic_povm,
-)
+from .linalg import CLAIM_TOL, COUNTEREXAMPLE_RTOL, NOGO_RESIDUAL_MIN, as_int
+from .observables import (Observable, gram_matrix, light_touch_basis_qutrit, sic_fiducial_v,
+                          sic_fiducial_w, sic_povm)
 from .sot import canonical_sot, maximality_counterexample, reconstruct_unique
-from .twotime import (
-    general_probes,
-    light_touch_probes,
-    nonrepresentable_witness,
-    representability_residual,
-    two_time_grid,
-)
+from .twotime import (general_probes, light_touch_probes, nonrepresentable_witness,
+                      representability_residual, two_time_grid)
 
 NOGO_DIM_PAIRS = ((2, 2), (3, 3), (2, 4), (4, 2))  # the (m, n) of each no-go witness
 
@@ -47,7 +31,7 @@ class Claim:
     name: str
     residual: float
     tolerance: float
-    direction: str = "max"  # "max": residual <= tol passes; "min": residual >= tol passes
+    direction: str  # "max": residual <= tolerance passes; "min": residual >= tolerance passes
 
     @property
     def passed(self) -> bool:
@@ -66,19 +50,26 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.claims)
 
-    def add(self, name: str, residual: float, tolerance: float, direction: str = "max"):
+    def add(self, name: str, residual: float, least: float | None = None):
+        """A "max" claim judged by CLAIM_TOL, or a "min" claim floored at ``least``."""
+        tolerance, direction = (CLAIM_TOL, "max") if least is None else (least, "min")
         self.claims.append(Claim(name, float(residual), tolerance, direction))
 
 
-def _tol(override: float | None, default: float) -> float:
-    """The caller's tolerance if given (0 included), else the claim's default."""
-    return default if override is None else override
-
-
-def verify_theorems(dims=(2, 3), trials: int = 25, seed: int = 0xC0FFEE,
-                    tol: float | None = None) -> SuiteReport:
-    """Uniqueness/trace-formula, special-case, marginal, and maximality checks."""
+def _checked(dims, trials) -> tuple:
+    """(dims, trials) under every suite's one range rule: trials >= 1, dims non-empty in 2..6."""
     trials = as_int(trials, "trials", 1)
+    dims = tuple(dims)
+    if not dims:
+        raise InvalidParameter("dims must name at least one dimension")
+    if not all(2 <= as_int(d, "dims entry") <= 6 for d in dims):
+        raise InvalidParameter("dims must lie in 2..6")
+    return dims, trials
+
+
+def verify_theorems(dims=(2, 3), trials: int = 25, seed: int = 0xC0FFEE) -> SuiteReport:
+    """Uniqueness/trace-formula, special-case, marginal, and maximality checks."""
+    dims, trials = _checked(dims, trials)
     rng = np.random.default_rng(seed)
     report = SuiteReport(suite="theorems", seed=seed)
 
@@ -103,9 +94,9 @@ def verify_theorems(dims=(2, 3), trials: int = 25, seed: int = 0xC0FFEE,
                 abs(values[1, 1]
                     - float(np.trace(apply(process.channel, process.rho) @ O_B.matrix).real)),
             )
-    report.add("light-touch trace formula (uniqueness theorem)", worst_lt, _tol(tol, 1e-10))
-    report.add("reconstruction matches closed form", worst_rec, _tol(tol, 1e-8))
-    report.add("one-time marginal identities", worst_marg, _tol(tol, 1e-10))
+    report.add("light-touch trace formula (uniqueness theorem)", worst_lt)
+    report.add("reconstruction matches closed form", worst_rec)
+    report.add("one-time marginal identities", worst_marg)
 
     # Special-case bilinearity: maximally mixed input and discard-and-prepare.
     worst_mm = worst_dp = 0.0
@@ -122,8 +113,8 @@ def verify_theorems(dims=(2, 3), trials: int = 25, seed: int = 0xC0FFEE,
             worst_mm = max(worst_mm,
                            representability_residual(mixed, chan.jamiolkowski / dA, pairs[:5]))
             worst_dp = max(worst_dp, representability_residual(dp, np.kron(rho, sigma), pairs[5:]))
-    report.add("maximally mixed input is representable", worst_mm, _tol(tol, 1e-10))
-    report.add("discard-and-prepare is representable", worst_dp, _tol(tol, 1e-10))
+    report.add("maximally mixed input is representable", worst_mm)
+    report.add("discard-and-prepare is representable", worst_dp)
 
     # Maximality: every non-light-touch observable admits a counterexample.
     worst_gap = np.inf
@@ -135,11 +126,11 @@ def verify_theorems(dims=(2, 3), trials: int = 25, seed: int = 0xC0FFEE,
                 continue
             _, _, residual = maximality_counterexample(O_A)
             worst_gap = min(worst_gap, residual)
-    report.add("non-light-touch counterexample residual", worst_gap, 1e-6, direction="min")
+    report.add("non-light-touch counterexample residual", worst_gap, least=COUNTEREXAMPLE_RTOL)
     return report
 
 
-def verify_nogo(seed: int = 0xC0FFEE, tol: float | None = None) -> SuiteReport:
+def verify_nogo(seed: int = 0xC0FFEE) -> SuiteReport:
     """Constructed witness: exact nonlinearity gap, light-touch vs general residuals."""
     rng = np.random.default_rng(seed)
     report = SuiteReport(suite="nogo", seed=seed)
@@ -158,9 +149,9 @@ def verify_nogo(seed: int = 0xC0FFEE, tol: float | None = None) -> SuiteReport:
         min_general = min(
             min_general, representability_residual(witness.process, X, probes)
         )
-    report.add("witness nonlinearity gap equals 2", worst_gap_dev, _tol(tol, 1e-10))
-    report.add("light-touch residual of witness", worst_lt, _tol(tol, 1e-10))
-    report.add("general-probe residual of witness", min_general, 0.1, direction="min")
+    report.add("witness nonlinearity gap equals 2", worst_gap_dev)
+    report.add("light-touch residual of witness", worst_lt)
+    report.add("general-probe residual of witness", min_general, least=NOGO_RESIDUAL_MIN)
     return report
 
 
@@ -180,10 +171,9 @@ def sic_fiducial_grid():
     return fiducials
 
 
-def verify_sic(seed: int = 0xC0FFEE, tol: float | None = None) -> SuiteReport:
+def verify_sic(seed: int = 0xC0FFEE) -> SuiteReport:
     """SIC overlap, resolution of identity, and light-touch Gram checks."""
     report = SuiteReport(suite="sic", seed=seed)
-    tol = _tol(tol, 1e-10)
     worst_overlap = worst_sum = worst_gram = 0.0
     for psi in sic_fiducial_grid():
         povm = sic_povm(psi)
@@ -194,9 +184,9 @@ def verify_sic(seed: int = 0xC0FFEE, tol: float | None = None) -> SuiteReport:
         worst_gram = max(
             worst_gram, float(np.abs(gram_matrix(basis) - 3 * np.eye(9)).max())
         )
-    report.add("pairwise overlaps equal 1/4", worst_overlap, tol)
-    report.add("rescaled projectors resolve identity", worst_sum, tol)
-    report.add("light-touch basis Gram equals 3I", worst_gram, tol)
+    report.add("pairwise overlaps equal 1/4", worst_overlap)
+    report.add("rescaled projectors resolve identity", worst_sum)
+    report.add("light-touch basis Gram equals 3I", worst_gram)
 
     # Negative control: the same construction in d=4 has cross terms 4/5.
     u = np.zeros(4, dtype=complex)
@@ -205,7 +195,7 @@ def verify_sic(seed: int = 0xC0FFEE, tol: float | None = None) -> SuiteReport:
     L_u = 2 * np.outer(u, u.conj()) - np.eye(4)
     L_v = 2 * np.outer(v, v.conj()) - np.eye(4)
     cross = np.vdot(L_u, L_v).real
-    report.add("d=4 analogue cross term equals 4/5", abs(cross - 0.8), tol)
+    report.add("d=4 analogue cross term equals 4/5", abs(cross - 0.8))
     return report
 
 
@@ -214,19 +204,22 @@ def run_suites(names, dims=(2, 3), trials: int = 25, seed: int = 0xC0FFEE,
     """The named suites' reports, in order.
 
     One range rule holds for every suite, whether or not it reads the value: trials
-    at least 1 and every dimension in 2..6. It is checked before any suite runs.
+    at least 1 and a non-empty dims, each in 2..6. It is checked before any suite runs.
+    A ``tol`` (0 included) replaces CLAIM_TOL for every "max" claim; "min" claims keep
+    their floors.
     """
-    as_int(trials, "trials", 1)
-    if not all(2 <= as_int(d, "dims entry") <= 6 for d in dims):
-        raise InvalidParameter("dims must lie in 2..6")
+    dims, trials = _checked(dims, trials)
     out = []
     for name in names:
         if name == "theorems":
-            out.append(verify_theorems(dims=dims, trials=trials, seed=seed, tol=tol))
+            out.append(verify_theorems(dims=dims, trials=trials, seed=seed))
         elif name == "nogo":
-            out.append(verify_nogo(seed=seed, tol=tol))
+            out.append(verify_nogo(seed=seed))
         elif name == "sic":
-            out.append(verify_sic(seed=seed, tol=tol))
+            out.append(verify_sic(seed=seed))
         else:
             raise InvalidParameter(f"unknown suite {name!r}")
+        if tol is not None:
+            out[-1].claims = [replace(c, tolerance=tol) if c.direction == "max" else c
+                              for c in out[-1].claims]
     return out

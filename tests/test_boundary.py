@@ -224,6 +224,15 @@ def test_run_suites_rejects_an_unknown_suite():
         run_suites(["bogus"])
 
 
+@pytest.mark.parametrize("call", [lambda: run_suites(["theorems"], dims=()),
+                                  lambda: verify_theorems(dims=(), trials=1)],
+                         ids=["run_suites", "verify_theorems"])
+def test_empty_dims_is_rejected_not_passed(call):
+    # With no dimension no claim is checked, so no claim may pass.
+    with pytest.raises(InvalidParameter, match="^dims must name at least one dimension$"):
+        call()
+
+
 # Each dimension or count argument: the call and its least value; 2 is valid for every one.
 BAD_DIMENSIONS = [2.0, True, "2", None, 0, -1]
 RNG = np.random.default_rng(0)
@@ -327,6 +336,16 @@ def test_a_declared_size_that_is_not_an_integer_is_a_parse_error(key, value):
     read(payload(1))
     with pytest.raises(io.ParseError, match=rf"declared {key}$|with Kraus shapes$"):
         read(payload(2))
+
+
+def test_sample_names_an_observable_whose_matrix_disagrees_with_its_dim(tmp_path, capsys):
+    process, observable = tmp_path / "process.json", tmp_path / "observable.json"
+    io.dump_document(io.process_doc(QUBIT), str(process))
+    io.dump_document(io.envelope("observable", {"dim": 3, "matrix": io.matrix_to_json(np.eye(2))}),
+                     str(observable))
+    assert main(["sample", str(process), str(observable), str(observable), "--shots", "10"]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: observable matrix shape disagrees with declared dim\n")
 
 
 @pytest.mark.parametrize("key", DECLARED)

@@ -7,6 +7,8 @@ import pytest
 from qsot import Process, canonical_sot, identity_channel, random_process, reconstruct_unique
 from qsot.cli import main
 from qsot import io
+from qsot.linalg import CLAIM_TOL, COUNTEREXAMPLE_RTOL, NOGO_RESIDUAL_MIN
+from qsot.verify import run_suites
 from qsot.observables import PAULI
 
 
@@ -454,18 +456,36 @@ def test_non_digit_permutation_exits_2(capsys):
     assert "--permutation" in line
 
 
-def test_verify_tol_zero_is_honoured(tmp_path, capsys):
+# The floor of each "min" claim, which --tol leaves alone.
+FLOORS = {
+    "non-light-touch counterexample residual": COUNTEREXAMPLE_RTOL,
+    "general-probe residual of witness": NOGO_RESIDUAL_MIN,
+}
+
+
+def test_every_verify_claim_is_judged_by_a_table_entry():
+    # Each default is the table's own object: no claim writes its tolerance again.
+    claims = [c for r in run_suites(["theorems", "nogo", "sic"], dims=(2,), trials=1)
+              for c in r.claims]
+    assert len(claims) == 13
+    for claim in claims:
+        assert claim.tolerance is FLOORS.get(claim.name, CLAIM_TOL), claim
+        assert claim.direction == ("min" if claim.name in FLOORS else "max")
+
+
+@pytest.mark.parametrize("suite", [["theorems", "--dims", "2", "--trials", "1"], ["nogo"], ["sic"]],
+                         ids=lambda suite: suite[0])
+def test_verify_tol_zero_is_honoured(suite, tmp_path, capsys):
     out = tmp_path / "report.json"
-    code = main(["verify", "nogo", "--tol", "0", "--out", str(out), "--format", "json"])
+    code = main(["verify", *suite, "--tol", "0", "--out", str(out), "--format", "json"])
     assert code in (0, 1)
     _, payload = io.load_document(str(out), expect_kind="report")
-    tolerances = {c["name"]: c["tolerance"] for c in payload["suites"][0]["claims"]}
-    assert tolerances == {
-        "witness nonlinearity gap equals 2": 0.0,
-        "light-touch residual of witness": 0.0,
-        "general-probe residual of witness": 0.1,
-    }
-    assert "tolerance 0)" in capsys.readouterr().err
+    claims = payload["suites"][0]["claims"]
+    for claim in claims:
+        assert claim["tolerance"] == FLOORS.get(claim["name"], 0.0), claim
+        assert claim["direction"] == ("min" if claim["name"] in FLOORS else "max")
+    err = capsys.readouterr().err
+    assert err.count("tolerance 0)") == sum(c["direction"] == "max" for c in claims) > 0
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])

@@ -61,7 +61,7 @@ from qsot import (
 )
 from qsot import linalg, sampler, twotime
 from qsot.channels import apply
-from qsot.linalg import CLUSTER_RTOL, _decompose, _spectra
+from qsot.linalg import CLAIM_TOL, CLUSTER_RTOL, _decompose, _spectra
 from qsot.observables import gram_matrix, hermitian_basis, light_touch_spanning_set
 from qsot.sampler import _rng
 from qsot.twotime import (
@@ -359,7 +359,7 @@ def ref_verify_theorems(dims, trials, seed):
                 worst_gap = min(worst_gap, maximality_counterexample(O_A)[2])
     return [
         ("light-touch trace formula (uniqueness theorem)", worst_lt, 1e-10, "max"),
-        ("reconstruction matches closed form", worst_rec, 1e-8, "max"),
+        ("reconstruction matches closed form", worst_rec, CLAIM_TOL, "max"),
         ("one-time marginal identities", worst_marg, 1e-10, "max"),
         ("maximally mixed input is representable", worst_mm, 1e-10, "max"),
         ("discard-and-prepare is representable", worst_dp, 1e-10, "max"),
