@@ -23,7 +23,7 @@ import numpy as np  # noqa: E402
 
 from . import io  # noqa: E402
 from .errors import NumericalFailure, ParameterOutOfRange, QsotError  # noqa: E402
-from .linalg import SAMPLE_RTOL, SAMPLE_SIGMAS  # noqa: E402
+from .linalg import SAMPLE_RTOL, SAMPLE_SIGMAS, SEED_LIMIT  # noqa: E402
 from .observables import (  # noqa: E402
     light_touch_basis_qutrit,
     sic_fiducial_v,
@@ -58,7 +58,6 @@ sampler = _lazy_submodule("sampler")  # sample and pdm-reconstruct --shots
 verify = _lazy_submodule("verify")  # verify
 
 DEFAULT_SEED = 0xC0FFEE
-SEED_LIMIT = 1 << 64  # sampler.SEED_LIMIT, kept here so parsing --seed loads no sampler
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1

@@ -30,7 +30,9 @@ def matrix_to_json(M: np.ndarray) -> list:
 
 
 def matrix_from_json(data) -> np.ndarray:
-    try:
+    try:  # complex() reads a bool as 0 or 1, so a JSON true or false is rejected first
+        if any(isinstance(x, bool) for row in data for pair in row for x in pair):
+            raise ParseError("malformed matrix: an entry is a boolean, not a number")
         M = np.array([[complex(re, im) for re, im in row] for row in data])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed matrix: {exc}") from exc

@@ -40,6 +40,7 @@ CLAIM_TOL = 1e-10  # absolute: the largest residual of each "max" claim of `veri
 #                    roundoff-sized normalized deviation or norm; `--tol` replaces it
 NOGO_RESIDUAL_MIN = 0.1  # absolute: the least general-probe residual of `verify`'s no-go
 #                          witnesses, whose exact nonlinearity gap is 2
+SEED_LIMIT = 1 << 64  # every seed lies in [0, 2^64), the ints a Philox key takes exactly
 
 
 def as_array(x, shape: tuple = (None, None), dtype: type = complex) -> np.ndarray:

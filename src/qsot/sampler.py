@@ -21,12 +21,11 @@ import numpy as np
 
 from .channels import Process
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidParameter, NumericalFailure
-from .linalg import PROB_SUM_TOL, as_array, as_int
+from .linalg import PROB_SUM_TOL, SEED_LIMIT, as_array, as_int
 from .observables import Observable
 from .sot import StateOverTime, _reconstruct
 from .twotime import _joint_table, _records
 
-SEED_LIMIT = 1 << 64
 SHOTS_LIMIT = 1 << 63  # a multinomial draw takes its number of trials as an int64
 
 

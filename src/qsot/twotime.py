@@ -31,18 +31,18 @@ class JointDistribution:
 
 
 class _Basis:
-    """What the kernel reads of one list of observables, built once per content.
+    """What the kernel reads of one list of observables, built once per list.
 
-    ``stack`` is the (n, dim, dim) matrix stack, a read-only view of the memo key's
-    bytes. ``eigenvalues`` and ``projectors`` are the clusters of the whole stack from
-    one ``linalg._spectra``, observable k's at ``starts[k]:starts[k + 1]``; ``norms``
-    are the spectral norms, and ``light_touch`` says whether every observable is
-    light-touch. No observable is decomposed, so no projector is stored twice. The dual
-    frame is built on first use.
+    ``stack`` is the read-only (n, dim, dim) matrix stack. ``eigenvalues`` and
+    ``projectors`` are the clusters of the whole stack from one ``linalg._spectra``,
+    observable k's at ``starts[k]:starts[k + 1]``; ``norms`` are the spectral norms, and
+    ``light_touch`` says whether every observable is light-touch. No observable is
+    decomposed, so no projector is stored twice. The dual frame is built on first use.
     """
 
-    def __init__(self, data: bytes, dim: int):
-        self.stack = np.frombuffer(data, dtype=complex).reshape(-1, dim, dim)
+    def __init__(self, observables: tuple, dim: int):
+        self.stack = np.array([obs.matrix for obs in observables], dtype=complex).reshape(-1, dim, dim)
+        self.stack.flags.writeable = False
         self.eigenvalues, self.projectors, self.starts, self.norms = _spectra(self.stack)
         self.light_touch = all(_classify(self.eigenvalues[i:j]).is_light_touch
                                for i, j in zip(self.starts[:-1], self.starts[1:]))
@@ -81,14 +81,16 @@ def _basis(observables, dim: int, label: str = "frame element",
            target: str = "dimension") -> _Basis:
     """The record of a list of observables, each of which must have dimension dim.
 
-    Records are kept in a bounded LRU memo (``_record``) keyed on (the stack's bytes,
-    dim), so equal lists built apart share one record, and a changed or rescaled list
-    gets its own. Records are immutable: two threads may build one twice, harmlessly.
+    Records sit in a bounded LRU memo (``_record``) keyed on (the observables' tuple, dim):
+    an ``Observable`` is immutable and hashes by identity, so the same observables share one
+    record, and the key holds them, so no reused id reaches a stale record. Records are
+    immutable: two threads may build one twice, harmlessly.
     """
+    observables = tuple(observables)
     for obs in observables:
         if obs.dim != dim:
             raise DimensionMismatch(f"{label} dim {obs.dim} != {target} {dim}")
-    return _record(np.array([obs.matrix for obs in observables], dtype=complex).tobytes(), dim)
+    return _record(observables, dim)
 
 
 def _records(process: Process, As, Bs) -> tuple:

@@ -9,6 +9,7 @@ CLI's ``verify`` subcommand.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .channels import (Process, apply, discard_prepare, random_density, random_hermitian,
                        random_process)
 from .errors import InvalidParameter
-from .linalg import CLAIM_TOL, COUNTEREXAMPLE_RTOL, NOGO_RESIDUAL_MIN, as_int
+from .linalg import CLAIM_TOL, COUNTEREXAMPLE_RTOL, NOGO_RESIDUAL_MIN, SEED_LIMIT, as_int
 from .observables import (Observable, gram_matrix, light_touch_basis_qutrit, sic_fiducial_v,
                           sic_fiducial_w, sic_povm)
 from .sot import canonical_sot, maximality_counterexample, reconstruct_unique
@@ -56,20 +57,25 @@ class SuiteReport:
         self.claims.append(Claim(name, float(residual), tolerance, direction))
 
 
-def _checked(dims, trials) -> tuple:
-    """(dims, trials) under every suite's one range rule: trials >= 1, dims non-empty in 2..6."""
-    trials = as_int(trials, "trials", 1)
+def _checked(dims, trials, seed, tol=None) -> tuple:
+    """(dims, trials, seed, tol) under every suite's one range rule (see ``run_suites``)."""
+    trials, seed = as_int(trials, "trials", 1), as_int(seed, "seed")
+    if not 0 <= seed < SEED_LIMIT:
+        raise InvalidParameter(f"seed must lie in [0, 2^64), got {seed}")
+    if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
+                            or not 0 <= tol < np.inf):
+        raise InvalidParameter(f"tol must be a finite number >= 0, got {tol!r}")
     dims = tuple(dims)
     if not dims:
         raise InvalidParameter("dims must name at least one dimension")
     if not all(2 <= as_int(d, "dims entry") <= 6 for d in dims):
         raise InvalidParameter("dims must lie in 2..6")
-    return dims, trials
+    return dims, trials, seed, None if tol is None else float(tol)
 
 
 def verify_theorems(dims=(2, 3), trials: int = 25, seed: int = 0xC0FFEE) -> SuiteReport:
     """Uniqueness/trace-formula, special-case, marginal, and maximality checks."""
-    dims, trials = _checked(dims, trials)
+    dims, trials, seed, _ = _checked(dims, trials, seed)
     rng = np.random.default_rng(seed)
     report = SuiteReport(suite="theorems", seed=seed)
 
@@ -204,11 +210,11 @@ def run_suites(names, dims=(2, 3), trials: int = 25, seed: int = 0xC0FFEE,
     """The named suites' reports, in order.
 
     One range rule holds for every suite, whether or not it reads the value: trials
-    at least 1 and a non-empty dims, each in 2..6. It is checked before any suite runs.
-    A ``tol`` (0 included) replaces CLAIM_TOL for every "max" claim; "min" claims keep
-    their floors.
+    at least 1, a non-empty dims, each in 2..6, a seed in [0, 2^64) and a finite tol >= 0.
+    It is checked before any suite runs. A ``tol`` (0 included) replaces CLAIM_TOL for
+    every "max" claim; "min" claims keep their floors.
     """
-    dims, trials = _checked(dims, trials)
+    dims, trials, seed, tol = _checked(dims, trials, seed, tol)
     out = []
     for name in names:
         if name == "theorems":

@@ -48,7 +48,7 @@ from qsot import (
     trace_grid,
     weyl_heisenberg,
 )
-from qsot import io
+from qsot import io, verify
 from qsot.cli import main
 from qsot.linalg import as_array
 from qsot.twotime import general_probes
@@ -233,6 +233,27 @@ def test_empty_dims_is_rejected_not_passed(call):
         call()
 
 
+@pytest.mark.parametrize("bad", [{"tol": NAN}, {"tol": INF}, {"tol": -1.0}, {"tol": True},
+                                 {"tol": "0.1"}, {"seed": -1}, {"seed": 2**64}, {"seed": 1.5},
+                                 {"seed": "7"}, {"seed": True}], ids=repr)
+def test_run_suites_checks_seed_and_tol_before_any_suite_runs(bad, monkeypatch):
+    ran = []
+    monkeypatch.setattr(verify, "verify_sic", lambda seed: ran.append(seed))
+    with pytest.raises(InvalidParameter, match=f"^{next(iter(bad))} must "):
+        run_suites(["sic"], **bad)
+    assert not ran
+    if "seed" in bad:
+        with pytest.raises(InvalidParameter, match="^seed must "):
+            verify_theorems(dims=(2,), trials=1, **bad)
+
+
+def test_run_suites_takes_every_seed_and_tol_in_range():
+    for seed, tol in ((0, 0), (np.uint64(2**64 - 1), 1e-3), (np.int8(5), np.float32(0.5))):
+        (report,) = run_suites(["sic"], seed=seed, tol=tol)
+        assert report.seed == seed and type(report.seed) is int
+        assert {c.tolerance for c in report.claims} == {float(tol)}
+
+
 # Each dimension or count argument: the call and its least value; 2 is valid for every one.
 BAD_DIMENSIONS = [2.0, True, "2", None, 0, -1]
 RNG = np.random.default_rng(0)
@@ -346,6 +367,20 @@ def test_sample_names_an_observable_whose_matrix_disagrees_with_its_dim(tmp_path
     assert main(["sample", str(process), str(observable), str(observable), "--shots", "10"]) == 2
     assert capsys.readouterr().err == (
         "parse error: observable matrix shape disagrees with declared dim\n")
+
+
+@pytest.mark.parametrize("entry", [[True, False], [1.0, True], [False, 0]])
+def test_a_boolean_matrix_entry_is_a_parse_error(entry, tmp_path, capsys):
+    # Python's complex() reads True as 1, so [true, false] once parsed as the entry 1.
+    with pytest.raises(io.ParseError, match="boolean"):
+        io.matrix_from_json([[entry]])
+    doc = io.envelope("process", {"channel": {"kraus": [[[entry]]]},
+                                  "state": {"dim": 1, "matrix": [[entry]]}})
+    path = tmp_path / "process.json"
+    io.dump_document(doc, str(path))
+    assert main(["sot", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "parse error: malformed matrix: an entry is a boolean, not a number\n")
 
 
 @pytest.mark.parametrize("key", DECLARED)

@@ -20,6 +20,7 @@ each pair's own stream, it matches in law.
 """
 
 import functools
+import gc
 import itertools
 import sys
 import threading
@@ -1042,23 +1043,68 @@ def test_cold_and_warm_calls_agree_bit_for_bit():
         assert all(np.array_equal(c, w) for c, w in zip(cold, warm)), name
 
 
-def test_equal_lists_share_one_record_and_any_other_content_gets_its_own():
+def test_the_same_observables_share_one_record_and_any_other_list_gets_its_own():
     _record.cache_clear()
-    record = _basis(pauli_basis(1), 2)
-    assert _basis(pauli_basis(1), 2) is record
+    P = pauli_basis(1)
+    record = _basis(P, 2)
+    assert _basis(tuple(P), 2) is record and _basis(list(P), 2) is record
     assert _record.cache_info().currsize == 1
-    rescaled = _basis([Observable(2 * P.matrix) for P in pauli_basis(1)], 2)
-    assert rescaled is not record and _record.cache_info().currsize == 2
+    # Equal content built apart is other observables: its own record, bit for bit the same.
+    apart = _basis(pauli_basis(1), 2)
+    assert apart is not record and _record.cache_info().currsize == 2
+    for name in ("stack", "eigenvalues", "projectors", "starts", "norms"):
+        assert getattr(apart, name).tobytes() == getattr(record, name).tobytes(), name
+    assert apart.light_touch is record.light_touch is True
+    (dual, condition, norms), want = apart.frame, record.frame
+    assert dual.tobytes() == want[0].tobytes() and norms.tobytes() == want[2].tobytes()
+    assert condition == want[1]
+    rescaled = _basis([Observable(2 * A.matrix) for A in P], 2)
+    assert rescaled is not record and _record.cache_info().currsize == 3
     assert np.array_equal(rescaled.stack, 2 * record.stack)
     assert np.array_equal(rescaled.norms, 2 * record.norms)
     assert np.array_equal(rescaled.frame[0], record.frame[0] / 2)
     # A list that differs in its last element only, and one whose bytes are those of
     # another list in another dimension, get their own records too.
-    P = pauli_basis(1)
     assert _basis(P[:3] + [P[0]], 2) is not record
     scalars = [Observable(np.array([[z]])) for z in np.eye(2).ravel()]
     assert _basis(scalars, 1).stack.tobytes() == _basis(P[:1], 2).stack.tobytes()
     assert _basis(scalars, 1) is not _basis(P[:1], 2)
+
+
+def test_a_dropped_list_never_lends_its_record_to_a_later_one():
+    # Each list is freed before the next is built, so a later list may take its objects'
+    # ids. The key holds its observables, so no id in the memo is ever reused.
+    rng = np.random.default_rng(17)
+    _record.cache_clear()
+    built = []
+    for _ in range(40):
+        members = [Observable(random_hermitian(2, rng)) for _ in range(2)]
+        built.append((_basis(members, 2), np.array([M.matrix for M in members])))
+        del members
+        gc.collect()
+    for record, matrices in built:
+        assert np.array_equal(record.stack, matrices)
+
+
+def test_a_warm_lookup_of_a_kept_list_builds_no_record(monkeypatch):
+    P = pauli_basis(2)
+    _record.cache_clear()
+    record = _basis(P, 4)
+    built = []
+    init = twotime._Basis.__init__
+    monkeypatch.setattr(twotime._Basis, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    assert _basis(P, 4) is record and _basis(iter(P), 4) is record
+    assert not built and _record.cache_info().currsize == 1
+
+
+def test_a_one_shot_iterable_is_read_once():
+    process = make_process(np.random.default_rng(18), 2, 2, 2)
+    P, H = pauli_basis(1), hermitian_basis(2)
+    _record.cache_clear()
+    got = two_time_grid(process, iter(P), iter(H))
+    want = two_time_grid(process, P, H)
+    assert got.shape == want.shape == (4, 4) and got.tobytes() == want.tobytes()
 
 
 def test_memo_keeps_the_most_recently_used_records_within_its_bound():
