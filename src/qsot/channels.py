@@ -13,11 +13,15 @@ from .linalg import DENSITY_TOL, TP_TOL, WEIGHT_CUT, as_array, as_int, check_her
 class QuantumChannel:
     """A CPTP map stored as a read-only (nk, dim_out, dim_in) stack of Kraus operators.
 
-    Kraus is the canonical representation: application is cheap and complete
-    positivity holds by construction, so only trace preservation is checked: a Kraus
-    set whose residual ||sum_k K_k^dagger K_k - 1|| exceeds TP_TOL raises
-    InvalidParameter. The Jamiolkowski matrix is built once at construction and
-    shared read-only; the Choi matrix is derived from it.
+    Kraus is the canonical representation: complete positivity holds by construction,
+    so only trace preservation is checked: a Kraus set whose residual
+    ||sum_k K_k^dagger K_k - 1|| exceeds TP_TOL raises InvalidParameter. The
+    Jamiolkowski matrix is built once at construction and shared read-only; the Choi
+    matrix is derived from it. Beside it, from the same Choi sum, the private transfer
+    matrix is built: the read-only (dim_in^2, dim_out^2) reshuffle
+    T[(i, j), (a, b)] = E(E_ij)[a, b], so that vec(E(L)) = vec(L) T for row-major vec,
+    one product for a whole stack of L. The Kraus stack stays the stored form: the
+    TP check, ``apply`` and ``io`` read it.
     """
 
     def __init__(self, kraus):
@@ -43,7 +47,11 @@ class QuantumChannel:
             choi += np.outer(vk, vk.conj())
         self.kraus = K
         self._jam = _swap_A(choi, self.dim_in, self.dim_out)
-        for M in (K, self._jam):
+        dA, dB = self.dim_in, self.dim_out
+        # T[(i, j), (a, b)] = choi[(i, a), (j, b)]; the reshape after the transpose copies.
+        self._transfer = (choi.reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3)
+                          .reshape(dA * dA, dB * dB))
+        for M in (K, self._jam, self._transfer):
             M.flags.writeable = False
 
     @property

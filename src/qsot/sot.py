@@ -99,6 +99,7 @@ def pdm_from_correlations(dimA: int, dimB: int, basis_A, basis_B, evs) -> StateO
     independent hermitian ones, and every value finite.
     """
     dimA, dimB = as_int(dimA, "dimA", 1), as_int(dimB, "dimB", 1)
+    basis_A, basis_B = tuple(basis_A), tuple(basis_B)
     evs = as_array(evs, (len(basis_A), len(basis_B)), float)
     return _reconstruct(_basis(basis_A, dimA), _basis(basis_B, dimB), evs)
 

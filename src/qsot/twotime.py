@@ -100,17 +100,11 @@ def _records(process: Process, As, Bs) -> tuple:
 
 
 def _evolve(channel, L: np.ndarray) -> np.ndarray:
-    """E(L_n) = sum_k K_k L_n K_k^dagger for a whole stack L at once.
-
-    The Kraus stack enters as two matrix products: the rows (k, i) of all K_k
-    against every L_n, then the sum over (k, l) against the row-stacked
-    conjugates. This beats a three-operand einsum from d = 4 on.
+    """E(L_n) for a whole stack L at once: vec(E(L_n)) = vec(L_n) T, one product with the
+    channel's transfer matrix T (see ``QuantumChannel``).
     """
-    K = channel.kraus
-    nk, dB, dA = K.shape
-    T = (K.reshape(nk * dB, dA) @ L).reshape(len(L), nk, dB, dA)
-    T = T.transpose(0, 2, 1, 3).reshape(len(L), dB, nk * dA)
-    return T @ K.transpose(1, 0, 2).reshape(dB, nk * dA).conj().T
+    dA, dB = channel.dim_in, channel.dim_out
+    return (L.reshape(len(L), dA * dA) @ channel._transfer).reshape(len(L), dB, dB)
 
 
 def _values(process: Process, A: _Basis, B: _Basis) -> np.ndarray:
@@ -149,7 +143,8 @@ def two_time_grid(process: Process, As, Bs) -> np.ndarray:
 
 def trace_grid(X, As, Bs) -> np.ndarray:
     """The (nA, nB) array of Tr[X (A_a (x) B_b)], with no A_a (x) B_b formed."""
-    if not len(As) or not len(Bs):
+    As, Bs = tuple(As), tuple(Bs)
+    if not As or not Bs:
         return np.zeros((len(As), len(Bs)))
     A = _basis(As, As[0].dim, "O_A", "first O_A").stack
     B = _basis(Bs, Bs[0].dim, "O_B", "first O_B").stack

@@ -247,6 +247,13 @@ def test_run_suites_checks_seed_and_tol_before_any_suite_runs(bad, monkeypatch):
             verify_theorems(dims=(2,), trials=1, **bad)
 
 
+@pytest.mark.parametrize("suite", [verify.verify_nogo, verify.verify_sic], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("seed", [-1, True, "x", 2**64], ids=repr)
+def test_each_suite_called_directly_checks_its_seed(suite, seed):
+    with pytest.raises(InvalidParameter, match="^seed must "):
+        suite(seed=seed)
+
+
 def test_run_suites_takes_every_seed_and_tol_in_range():
     for seed, tol in ((0, 0), (np.uint64(2**64 - 1), 1e-3), (np.int8(5), np.float32(0.5))):
         (report,) = run_suites(["sic"], seed=seed, tol=tol)

@@ -3,7 +3,8 @@
 The ``ref_*`` functions are those loops, kept slow and obvious: one ``eigh``
 and one clustering loop per matrix for the spectra of a basis record, one Kraus
 application per eigenprojector and probe pair, one ``np.kron`` per trace,
-one outer product per Kraus operator for the Choi matrix, the anticommutator
+the two Kraus-stack products that the channel's transfer matrix replaced in the
+evolution, one outer product per Kraus operator for the Choi matrix, the anticommutator
 with the Kronecker-lifted state for the canonical state over time,
 the least-squares reconstruction over a (dA dB)^2-square design matrix
 that the dual-frame expansion replaced, the expansion over the raw hermitian
@@ -197,6 +198,17 @@ def ref_reconstruct_unique(process):
                   optimize=True)
     X = X.reshape(len(A[0]) * len(B[0]), -1)
     return 0.5 * (X + X.conj().T)
+
+
+def ref_evolve(channel, L):
+    """E(L_n) = sum_k K_k L_n K_k^dagger as two matrix products: the rows (k, i) of all
+    K_k against every L_n, then the sum over (k, l) against the row-stacked conjugates.
+    """
+    K = channel.kraus
+    nk, dB, dA = K.shape
+    T = (K.reshape(nk * dB, dA) @ L).reshape(len(L), nk, dB, dA)
+    T = T.transpose(0, 2, 1, 3).reshape(len(L), dB, nk * dA)
+    return T @ K.transpose(1, 0, 2).reshape(dB, nk * dA).conj().T
 
 
 def ref_choi(channel):
@@ -827,6 +839,29 @@ def test_choi_and_jamiolkowski_match_kraus_loop(seed, dA, dB):
     d = dA * dB
     swapped = want.reshape(dA, dB, dA, dB).transpose(2, 1, 0, 3).reshape(d, d)
     assert np.array_equal(channel.jamiolkowski, swapped)
+    transfer = choi_matrix(channel).reshape(dA, dB, dA, dB).transpose(0, 2, 1, 3)
+    assert not channel._transfer.flags.writeable
+    assert np.array_equal(channel._transfer, transfer.reshape(dA * dA, dB * dB))
+
+
+@FAST
+@given(seed=seeds, dA_dB=st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(lambda p: p[0] != p[1]),
+       rank_share=st.floats(0, 1), n=st.sampled_from([0, 1, 40]))
+def test_evolve_matches_the_kraus_products_and_apply(seed, dA_dB, rank_share, n):
+    # Kraus ranks from the least an isometry allows, ceil(dA / dB), up to dA dB.
+    dA, dB = dA_dB
+    least = -(-dA // dB)
+    rank = least + round(rank_share * (dA * dB - least))
+    rng = np.random.default_rng(seed)
+    channel = random_channel(dA, dB, rng, env_dim=rank)
+    L = rng.standard_normal((n, dA, dA)) + 1j * rng.standard_normal((n, dA, dA))
+    got = twotime._evolve(channel, L)
+    want = ref_evolve(channel, L)
+    assert got.shape == want.shape == (n, dB, dB)
+    assert np.abs(got - want).max(initial=0.0) <= 1e-13 * np.abs(want).max(initial=0.0)
+    for G, M in zip(got, L):
+        W = apply(channel, M)
+        assert np.abs(G - W).max() <= 1e-13 * np.abs(W).max()
 
 
 @pytest.mark.parametrize("dA,dB", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)])
@@ -1105,6 +1140,10 @@ def test_a_one_shot_iterable_is_read_once():
     got = two_time_grid(process, iter(P), iter(H))
     want = two_time_grid(process, P, H)
     assert got.shape == want.shape == (4, 4) and got.tobytes() == want.tobytes()
+    X = canonical_sot(process).matrix
+    assert trace_grid(X, iter(P), iter(H)).tobytes() == trace_grid(X, P, H).tobytes()
+    got = pdm_from_correlations(2, 2, iter(P), iter(H), want).matrix
+    assert got.tobytes() == pdm_from_correlations(2, 2, P, H, want).matrix.tobytes()
 
 
 def test_memo_keeps_the_most_recently_used_records_within_its_bound():
