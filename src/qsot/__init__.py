@@ -48,10 +48,8 @@ _EXPORTS = {
         "tensor",
     ),
     "observables": (
-        "Classification",
         "Observable",
         "SicPovm",
-        "classify_light_touch",
         "hermitian_basis",
         "light_touch_basis_qutrit",
         "light_touch_spanning_set",

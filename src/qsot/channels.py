@@ -29,7 +29,8 @@ class QuantumChannel:
         if not kraus:
             raise InvalidParameter("need at least one Kraus operator")
         K = as_array(kraus, (None, None, None))  # made from a list, so never the caller's array
-        _, self.dim_out, self.dim_in = K.shape
+        _, dim_out, dim_in = K.shape
+        self.dim_out, self.dim_in = as_int(dim_out, "dim_out", 1), as_int(dim_in, "dim_in", 1)
         rows = K.reshape(-1, self.dim_in)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows as inf or nan
             tp_residual = float(np.linalg.norm(rows.conj().T @ rows - np.eye(self.dim_in)))

@@ -7,13 +7,14 @@ the flattened composite index is ``a * dimB + b``, so ``tensor(A, B)`` is
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidParameter, NotHermitian, NumericalFailure
+from .errors import (DimensionMismatch, InvalidParameter, NotHermitian, NumericalFailure,
+                     SingularSystem)
 
 # Every threshold the library applies to data. A relative threshold is a
 # multiple of the scale of the data it judges, with no floor, so rescaling an
@@ -80,6 +81,14 @@ def as_int(n, what: str, least: int | None = None) -> int:
     return i
 
 
+def _as_seed(seed) -> int:
+    """The one seed rule: seed as an int in [0, SEED_LIMIT), else InvalidParameter."""
+    seed = as_int(seed, "seed")
+    if not 0 <= seed < SEED_LIMIT:
+        raise InvalidParameter(f"seed must lie in [0, 2^64), got {seed}")
+    return seed
+
+
 def check_hermitian(M) -> np.ndarray:
     """Return M if hermitian within HERMITICITY_RTOL of its norm, else raise NotHermitian.
 
@@ -97,24 +106,58 @@ def check_hermitian(M) -> np.ndarray:
     return M
 
 
-@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Distinct real eigenvalues with orthogonal projectors resolving the identity.
+    """The clustered spectra of a stack of n hermitian matrices, from one batched ``eigh``.
 
-    Eigenvalues are ascending; ``projectors[k]`` projects onto the full
-    eigenspace of ``eigenvalues[k]`` (degenerate eigenspaces are never split).
-    ``projectors`` is one read-only (n, dim, dim) array. ``norm`` is the
-    spectral norm: the largest |eigenvalue| before clustering.
+    ``stack`` is the read-only (n, d, d) stack. ``eigenvalues`` and ``projectors`` are the
+    clusters of every row, row k's at ``starts[k]:starts[k + 1]``: its distinct eigenvalues,
+    ascending, and the projectors onto their full eigenspaces (degenerate eigenspaces are
+    never split), which resolve the identity. ``norms`` are the spectral norms, the largest
+    |eigenvalue| of each row before clustering, and ``light_touch`` says whether every row
+    is light-touch: one cluster, or two whose eigenvalues cancel within CLUSTER_RTOL of the
+    larger. The given stack is made read-only and kept, every array is read-only, and the
+    dual frame is built on first use. An ``Observable``'s ``spectral`` is the one-row case;
+    the kernel's record of a list of observables (``twotime._basis``) is the n-row case.
     """
 
-    dim: int
-    eigenvalues: np.ndarray
-    projectors: np.ndarray
-    norm: float
+    def __init__(self, stack: np.ndarray):
+        stack.flags.writeable = False
+        self.stack = stack
+        self.eigenvalues, self.projectors, self.starts, self.norms = _spectra(stack)
+        rows = (self.eigenvalues[i:j] for i, j in zip(self.starts[:-1], self.starts[1:]))
+        self.light_touch = all(len(w) == 1 or len(w) == 2 and abs(w[0] + w[1])
+                               <= CLUSTER_RTOL * float(np.max(np.abs(w))) for w in rows)
+
+    @functools.cached_property
+    def frame(self) -> tuple:
+        """The dual frame G^-1 A of the stack A with Gram matrix G, cond(G) and the squared
+        dual norms (G^-1)_aa = sum_k V_ak^2 / w_k, from one eigendecomposition G = V w V^T.
+
+        G is formed from the stack divided by the power of 2 at or below its largest part,
+        an exact division, so no frame over- or underflows it; the outputs are scaled back,
+        and the norms, as 1 / scale^2, may round to 0 or inf at the ends of the float range.
+        The frame is an LU solve: built from V and w it moves reconstructions by up to 3x
+        more roundoff. A singular G raises SingularSystem, on every access.
+        """
+        A = self.stack
+        R = A.reshape(len(A), -1).view(float)  # the real and imaginary parts side by side
+        scale = math.ldexp(1.0, math.frexp(float(np.abs(R).max()))[1] - 1)
+        F = (R / scale).view(complex)
+        G = _pairings(F, F)
+        w, V = np.linalg.eigh(G)
+        if w[0] <= w[-1] * len(w) * np.finfo(float).eps:  # NumPy's matrix_rank tolerance
+            raise SingularSystem(f"Gram matrix eigenvalues {w[-1]:.3e} .. {w[0]:.3e}")
+        with np.errstate(over="ignore"):
+            norms = (V * V) @ (1.0 / w) / scale / scale
+        dual = (np.linalg.solve(G, F) / scale).reshape(A.shape)
+        for M in (dual, norms):
+            M.flags.writeable = False
+        return dual, float(w[-1] / w[0]), norms
 
 
 def hermitian_eigendecomposition(H) -> SpectralDecomposition:
-    """Eigendecompose a hermitian matrix into distinct-eigenvalue projectors.
+    """Eigendecompose a hermitian matrix into distinct-eigenvalue projectors: the one-row
+    record of a copy of H.
 
     Ascending eigenvalues at most CLUSTER_RTOL max|eigenvalue| apart are
     merged into a single cluster, so chains merge whole; the cluster
@@ -122,14 +165,7 @@ def hermitian_eigendecomposition(H) -> SpectralDecomposition:
     over the cluster. Zero eigenvalues are kept so the projectors always
     resolve the identity.
     """
-    return _decompose(check_hermitian(H))
-
-
-def _decompose(H: np.ndarray) -> SpectralDecomposition:
-    """``hermitian_eigendecomposition`` of a matrix already checked hermitian."""
-    eigenvalues, projectors, _, norms = _spectra(H[None])
-    return SpectralDecomposition(dim=H.shape[0], eigenvalues=eigenvalues, projectors=projectors,
-                                 norm=float(norms[0]))
+    return SpectralDecomposition(np.array(check_hermitian(H)[None]))
 
 
 def _spectra(H: np.ndarray) -> tuple:
@@ -139,7 +175,7 @@ def _spectra(H: np.ndarray) -> tuple:
     ``starts[k]:starts[k + 1]``, with the n + 1 ``starts`` and the n spectral norms; the
     clustering is that of ``hermitian_eigendecomposition``, and every array is read-only.
     Cluster starts are found for all rows at once; each cluster's mean and projector
-    product stay one call each, as their batched forms sum in another order.
+    product are then formed one at a time, bit for bit the per-matrix loop.
     """
     try:
         w, V = np.linalg.eigh(H)

@@ -1,4 +1,4 @@
-"""Observables: light-touch classification, Pauli strings, qutrit SIC-POVMs.
+"""Observables and their light-touch test, Pauli strings, qutrit SIC-POVMs.
 
 Light-touch observables are hermitian matrices with a single distinct singular
 value, i.e. spectrum {lam} or {+lam, -lam}. They generalize Pauli observables
@@ -15,17 +15,14 @@ import numpy as np
 
 from .errors import FailedOverlapCondition, InvalidIndex, ParameterOutOfRange
 from .linalg import (
-    CLUSTER_RTOL,
     FIDUCIAL_NORM_TOL,
     SIC_ANGLE_TOL,
     SIC_OVERLAP_TOL,
     SpectralDecomposition,
-    _decompose,
     _pairings,
     as_array,
     as_int,
     check_hermitian,
-    hermitian_eigendecomposition,
     tensor,
 )
 
@@ -35,18 +32,6 @@ PAULI = (
     np.array([[0, -1j], [1j, 0]], dtype=complex),
     np.array([[1, 0], [0, -1]], dtype=complex),
 )
-
-
-@dataclass(frozen=True)
-class Classification:
-    """Spectral class of an observable: scalar, dichotomous, or general."""
-
-    kind: str  # "scalar" | "dichotomous" | "general"
-    value: float | None = None  # lam for scalar/dichotomous
-
-    @property
-    def is_light_touch(self) -> bool:
-        return self.kind in ("scalar", "dichotomous")
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,32 +55,12 @@ class Observable:
 
     @functools.cached_property
     def spectral(self) -> SpectralDecomposition:
-        return _decompose(self.matrix)
-
-    @functools.cached_property
-    def classification(self) -> Classification:
-        return _classify(self.spectral.eigenvalues)
+        """The one-row record of the matrix: its clusters, spectral norm and class."""
+        return SpectralDecomposition(self.matrix[None])
 
     @property
     def is_light_touch(self) -> bool:
-        return self.classification.is_light_touch
-
-
-def classify_light_touch(O) -> Classification:
-    """Classify an observable by its distinct-eigenvalue structure.
-
-    The zero matrix classifies as scalar with value 0.
-    """
-    return _classify(hermitian_eigendecomposition(O).eigenvalues)
-
-
-def _classify(lams: np.ndarray) -> Classification:
-    # Two clusters are dichotomous when their eigenvalues cancel within the clustering rule.
-    if len(lams) == 1:
-        return Classification("scalar", float(lams[0]))
-    if len(lams) == 2 and abs(lams[0] + lams[1]) <= CLUSTER_RTOL * float(np.max(np.abs(lams))):
-        return Classification("dichotomous", float(lams[1]))
-    return Classification("general")
+        return self.spectral.light_touch
 
 
 def pauli_string(alpha) -> Observable:

@@ -21,7 +21,8 @@ import numpy as np
 
 from .channels import Process
 from .errors import DimensionMismatch, IndexOutOfRange, InvalidParameter, NumericalFailure
-from .linalg import PROB_SUM_TOL, SEED_LIMIT, as_array, as_int
+# SEED_LIMIT stays bound here: it is the bound ``_as_seed`` puts on every sampled seed.
+from .linalg import PROB_SUM_TOL, SEED_LIMIT, _as_seed, as_array, as_int  # noqa: F401
 from .observables import Observable
 from .sot import StateOverTime, _reconstruct
 from .twotime import _joint_table, _records
@@ -57,11 +58,9 @@ class ShotRecord:
 
 def _check_shots_seed(shots, seed) -> tuple:
     """shots in [1, 2^63) and seed in [0, 2^64), as Python ints."""
-    shots, seed = as_int(shots, "shots"), as_int(seed, "seed")
+    shots, seed = as_int(shots, "shots"), _as_seed(seed)
     if not 1 <= shots < SHOTS_LIMIT:
         raise InvalidParameter(f"shots must lie in [1, 2^63), got {shots}")
-    if not 0 <= seed < SEED_LIMIT:
-        raise InvalidParameter(f"seed must lie in [0, 2^64), got {seed}")
     return shots, seed
 
 

@@ -14,9 +14,9 @@ import numpy as np
 
 from .channels import Process, identity_channel
 from .errors import DimensionMismatch, InvalidParameter, IsLightTouch, NotLightTouch
-from .linalg import CLUSTER_RTOL, COUNTEREXAMPLE_RTOL, as_array, as_int
+from .linalg import CLUSTER_RTOL, COUNTEREXAMPLE_RTOL, SpectralDecomposition, as_array, as_int
 from .observables import Observable
-from .twotime import _Basis, _basis, _frames, _traces, _values
+from .twotime import _basis, _frames, _traces, _values
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +71,8 @@ def _expand(values: np.ndarray, dual: np.ndarray, B: np.ndarray) -> np.ndarray:
     return 0.5 * (X + X.conj().T)
 
 
-def _reconstruct(A: _Basis, B: _Basis, values: np.ndarray) -> StateOverTime:
+def _reconstruct(A: SpectralDecomposition, B: SpectralDecomposition,
+                 values: np.ndarray) -> StateOverTime:
     """The one operator whose trace pairings with A_a (x) B_b reproduce values[a, b].
 
     A and B are the records of a complete basis on each side, A's light-touch. The
@@ -139,7 +140,7 @@ def maximality_counterexample(O_A: Observable):
     residual are judged relative to max|lam|, so a rescaled O_A gives the rescaled residual.
     """
     m = O_A.dim
-    A = _basis([O_A], m)
+    A = O_A.spectral
     if A.light_touch:
         raise IsLightTouch("light-touch observables admit no counterexample")
     lam = A.eigenvalues

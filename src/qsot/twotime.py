@@ -9,15 +9,15 @@ P(i, j) = Tr[E(P_i rho P_i) Q_j].
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import Process, isometry_embed, random_hermitian
-from .errors import DimensionMismatch, NumericalFailure, SingularSystem
-from .linalg import PROB_NEG_LIMIT, PROB_SUM_TOL, _pairings, _spectra, as_array, as_int
-from .observables import (Observable, _classify, hermitian_basis, light_touch_basis_qutrit,
+from .errors import DimensionMismatch, NumericalFailure
+from .linalg import (PROB_NEG_LIMIT, PROB_SUM_TOL, SpectralDecomposition, _pairings, as_array,
+                     as_int)
+from .observables import (Observable, hermitian_basis, light_touch_basis_qutrit,
                           light_touch_spanning_set, pauli_basis, sic_fiducial_w, sic_povm)
 
 
@@ -30,55 +30,15 @@ class JointDistribution:
     probs: np.ndarray = field(repr=False)
 
 
-class _Basis:
-    """What the kernel reads of one list of observables, built once per list.
-
-    ``stack`` is the read-only (n, dim, dim) matrix stack. ``eigenvalues`` and
-    ``projectors`` are the clusters of the whole stack from one ``linalg._spectra``,
-    observable k's at ``starts[k]:starts[k + 1]``; ``norms`` are the spectral norms, and
-    ``light_touch`` says whether every observable is light-touch. No observable is
-    decomposed, so no projector is stored twice. The dual frame is built on first use.
-    """
-
-    def __init__(self, observables: tuple, dim: int):
-        self.stack = np.array([obs.matrix for obs in observables], dtype=complex).reshape(-1, dim, dim)
-        self.stack.flags.writeable = False
-        self.eigenvalues, self.projectors, self.starts, self.norms = _spectra(self.stack)
-        self.light_touch = all(_classify(self.eigenvalues[i:j]).is_light_touch
-                               for i, j in zip(self.starts[:-1], self.starts[1:]))
-
-    @functools.cached_property
-    def frame(self) -> tuple:
-        """The dual frame G^-1 A of the stack A with Gram matrix G, cond(G) and the squared
-        dual norms (G^-1)_aa = sum_k V_ak^2 / w_k, from one eigendecomposition G = V w V^T.
-
-        G is formed from the stack divided by the power of 2 at or below its largest part,
-        an exact division, so no frame over- or underflows it; the outputs are scaled back,
-        and the norms, as 1 / scale^2, may round to 0 or inf at the ends of the float range.
-        The frame is an LU solve: built from V and w it moves reconstructions by up to 3x
-        more roundoff. A singular G raises SingularSystem, on every access.
-        """
-        A = self.stack
-        R = A.reshape(len(A), -1).view(float)  # the real and imaginary parts side by side
-        scale = math.ldexp(1.0, math.frexp(float(np.abs(R).max()))[1] - 1)
-        F = (R / scale).view(complex)
-        G = _pairings(F, F)
-        w, V = np.linalg.eigh(G)
-        if w[0] <= w[-1] * len(w) * np.finfo(float).eps:  # NumPy's matrix_rank tolerance
-            raise SingularSystem(f"Gram matrix eigenvalues {w[-1]:.3e} .. {w[0]:.3e}")
-        with np.errstate(over="ignore"):
-            norms = (V * V) @ (1.0 / w) / scale / scale
-        dual = (np.linalg.solve(G, F) / scale).reshape(A.shape)
-        for M in (dual, norms):
-            M.flags.writeable = False
-        return dual, float(w[-1] / w[0]), norms
-
-
-_record = functools.lru_cache(maxsize=16)(_Basis)  # the 16 most recently used records
+@functools.lru_cache(maxsize=16)  # the 16 most recently used records
+def _record(observables: tuple, dim: int) -> SpectralDecomposition:
+    """The record of the observables' matrices, stacked once into a (n, dim, dim) array."""
+    stack = np.array([obs.matrix for obs in observables], dtype=complex)
+    return SpectralDecomposition(stack.reshape(-1, dim, dim))
 
 
 def _basis(observables, dim: int, label: str = "frame element",
-           target: str = "dimension") -> _Basis:
+           target: str = "dimension") -> SpectralDecomposition:
     """The record of a list of observables, each of which must have dimension dim.
 
     Records sit in a bounded LRU memo (``_record``) keyed on (the observables' tuple, dim):
@@ -107,7 +67,7 @@ def _evolve(channel, L: np.ndarray) -> np.ndarray:
     return (L.reshape(len(L), dA * dA) @ channel._transfer).reshape(len(L), dB, dB)
 
 
-def _values(process: Process, A: _Basis, B: _Basis) -> np.ndarray:
+def _values(process: Process, A: SpectralDecomposition, B: SpectralDecomposition) -> np.ndarray:
     """Tr[E(L_a) B_b] for records A and B, with L_a = sum_i lam_i P_i rho P_i.
 
     The clusters of all first observables are sandwiched in one batch and summed
@@ -142,8 +102,11 @@ def two_time_grid(process: Process, As, Bs) -> np.ndarray:
 
 
 def trace_grid(X, As, Bs) -> np.ndarray:
-    """The (nA, nB) array of Tr[X (A_a (x) B_b)], with no A_a (x) B_b formed."""
-    As, Bs = tuple(As), tuple(Bs)
+    """The (nA, nB) array of Tr[X (A_a (x) B_b)], with no A_a (x) B_b formed.
+
+    X is read first, so an empty list answers zeros only for a valid X.
+    """
+    X, As, Bs = as_array(X), tuple(As), tuple(Bs)
     if not As or not Bs:
         return np.zeros((len(As), len(Bs)))
     A = _basis(As, As[0].dim, "O_A", "first O_A").stack
@@ -151,7 +114,8 @@ def trace_grid(X, As, Bs) -> np.ndarray:
     return _traces(as_array(X, (A.shape[1] * B.shape[1],) * 2), A, B)
 
 
-def _joint_table(process: Process, A: _Basis, B: _Basis) -> np.ndarray:
+def _joint_table(process: Process, A: SpectralDecomposition,
+                 B: SpectralDecomposition) -> np.ndarray:
     """P(i, j) = Tr[E(P_i rho P_i) Q_j] for every cluster of every A against every cluster of every B.
 
     The eigenprojectors of all first observables are sandwiched, evolved and

@@ -17,7 +17,7 @@ import numpy as np
 from .channels import (Process, apply, discard_prepare, random_density, random_hermitian,
                        random_process)
 from .errors import InvalidParameter
-from .linalg import CLAIM_TOL, COUNTEREXAMPLE_RTOL, NOGO_RESIDUAL_MIN, SEED_LIMIT, as_int
+from .linalg import CLAIM_TOL, COUNTEREXAMPLE_RTOL, NOGO_RESIDUAL_MIN, _as_seed, as_int
 from .observables import (Observable, gram_matrix, light_touch_basis_qutrit, sic_fiducial_v,
                           sic_fiducial_w, sic_povm)
 from .sot import canonical_sot, maximality_counterexample, reconstruct_unique
@@ -57,17 +57,9 @@ class SuiteReport:
         self.claims.append(Claim(name, float(residual), tolerance, direction))
 
 
-def _seed(seed) -> int:
-    """seed as an integer in [0, 2^64), the seed rule of every suite."""
-    seed = as_int(seed, "seed")
-    if not 0 <= seed < SEED_LIMIT:
-        raise InvalidParameter(f"seed must lie in [0, 2^64), got {seed}")
-    return seed
-
-
 def _checked(dims, trials, seed, tol=None) -> tuple:
     """(dims, trials, seed, tol) under every suite's one range rule (see ``run_suites``)."""
-    trials, seed = as_int(trials, "trials", 1), _seed(seed)
+    trials, seed = as_int(trials, "trials", 1), _as_seed(seed)
     if tol is not None and (isinstance(tol, bool) or not isinstance(tol, numbers.Real)
                             or not 0 <= tol < np.inf):
         raise InvalidParameter(f"tol must be a finite number >= 0, got {tol!r}")
@@ -144,7 +136,7 @@ def verify_theorems(dims=(2, 3), trials: int = 25, seed: int = 0xC0FFEE) -> Suit
 
 def verify_nogo(seed: int = 0xC0FFEE) -> SuiteReport:
     """Constructed witness: exact nonlinearity gap, light-touch vs general residuals."""
-    seed = _seed(seed)
+    seed = _as_seed(seed)
     rng = np.random.default_rng(seed)
     report = SuiteReport(suite="nogo", seed=seed)
     worst_gap_dev = 0.0
@@ -186,7 +178,7 @@ def sic_fiducial_grid():
 
 def verify_sic(seed: int = 0xC0FFEE) -> SuiteReport:
     """SIC overlap, resolution of identity, and light-touch Gram checks."""
-    seed = _seed(seed)
+    seed = _as_seed(seed)
     report = SuiteReport(suite="sic", seed=seed)
     worst_overlap = worst_sum = worst_gram = 0.0
     for psi in sic_fiducial_grid():

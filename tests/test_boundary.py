@@ -119,6 +119,9 @@ CASES = {
         ([[["a"]]], InvalidParameter),
         ([np.eye(2), _with(NAN, (2, 2))], NumericalFailure),
         (np.ones((2, 2)), DimensionMismatch),
+        (np.zeros((1, 0, 0)), InvalidParameter),  # zero input and output dimension
+        (np.zeros((1, 2, 0)), InvalidParameter),
+        ([np.zeros((2, 0))], InvalidParameter),
     ]),
     "apply": (lambda x: apply(identity_channel(2), x), MATRIX_2x2),
     "partial_trace": (lambda x: partial_trace(x, 2, 2, "A"), SOT_4x4),
@@ -155,6 +158,16 @@ VALID = [
     np.linspace(-1.0, 1.0, 4, dtype=np.float32).reshape(2, 2),
     np.zeros((0, 0)),
 ]
+
+
+@pytest.mark.parametrize("empty", ["A", "B"])
+def test_trace_grid_reads_x_before_an_empty_list(empty):
+    # representability_residual rejects these X too, with or without probes.
+    lists = ([], H2) if empty == "A" else (P1, [])
+    for X, error in (("abc", InvalidParameter), (np.full((4, 4), NAN), NumericalFailure)):
+        with pytest.raises(error):
+            trace_grid(X, *lists)
+    assert trace_grid(np.eye(4), *lists).shape == (len(lists[0]), len(lists[1]))
 
 
 @pytest.mark.parametrize("x", VALID, ids=range(len(VALID)))

@@ -63,7 +63,7 @@ from qsot import (
 )
 from qsot import linalg, sampler, twotime
 from qsot.channels import apply
-from qsot.linalg import CLAIM_TOL, CLUSTER_RTOL, _decompose, _spectra
+from qsot.linalg import CLAIM_TOL, CLUSTER_RTOL, SpectralDecomposition, _spectra
 from qsot.observables import gram_matrix, hermitian_basis, light_touch_spanning_set
 from qsot.sampler import _rng
 from qsot.twotime import (
@@ -929,11 +929,8 @@ def test_maximality_scan_matches_scalar_scan(d):
         assert abs(best_dev - dev) <= TOL
 
 
-def test_a_cold_observable_costs_the_maximality_scan_one_spectral_decomposition(monkeypatch):
-    # O_A's clusters, its class and its row of the scan all come from one record.
-    rng = np.random.default_rng(17)
-    O_A = make_observable(rng, 3, "general")
-    _basis(_frames(3)[1], 3)
+def count_spectra(monkeypatch) -> list:
+    """The row count of every ``linalg._spectra`` call from here on."""
     calls = []
 
     def counted(H):
@@ -941,7 +938,26 @@ def test_a_cold_observable_costs_the_maximality_scan_one_spectral_decomposition(
         return _spectra(H)
 
     monkeypatch.setattr(linalg, "_spectra", counted)
-    monkeypatch.setattr(twotime, "_spectra", counted)
+    return calls
+
+
+def test_a_cold_observable_costs_the_maximality_scan_one_spectral_decomposition(monkeypatch):
+    # O_A's clusters, its class and its row of the scan all come from one record.
+    rng = np.random.default_rng(17)
+    O_A = make_observable(rng, 3, "general")
+    _basis(_frames(3)[1], 3)
+    calls = count_spectra(monkeypatch)
+    maximality_counterexample(O_A)
+    assert calls == [1]
+
+
+def test_testing_light_touch_before_the_maximality_scan_decomposes_once(monkeypatch):
+    # ``verify``'s maximality claim tests each draw first: the scan reuses that record.
+    rng = np.random.default_rng(17)
+    O_A = make_observable(rng, 3, "general")
+    _basis(_frames(3)[1], 3)
+    calls = count_spectra(monkeypatch)
+    assert not O_A.is_light_touch
     maximality_counterexample(O_A)
     assert calls == [1]
 
@@ -1126,8 +1142,8 @@ def test_a_warm_lookup_of_a_kept_list_builds_no_record(monkeypatch):
     _record.cache_clear()
     record = _basis(P, 4)
     built = []
-    init = twotime._Basis.__init__
-    monkeypatch.setattr(twotime._Basis, "__init__",
+    init = SpectralDecomposition.__init__
+    monkeypatch.setattr(SpectralDecomposition, "__init__",
                         lambda self, *args: built.append(args) or init(self, *args))
     assert _basis(P, 4) is record and _basis(iter(P), 4) is record
     assert not built and _record.cache_info().currsize == 1
@@ -1280,10 +1296,10 @@ def test_batched_spectra_match_the_per_matrix_loop(seed, d, kind, scale):
     for M in (eigenvalues, projectors, starts, norms):
         assert not M.flags.writeable
     if len(stack):  # the one-row case is the decomposition of an observable
-        dec = _decompose(stack[-1])
+        dec = Observable(stack[-1]).spectral
         w, P, norm = refs[-1]
         assert np.array_equal(dec.eigenvalues, w) and np.array_equal(dec.projectors, P)
-        assert dec.norm == norm
+        assert dec.norms.tolist() == [norm]
 
 
 def test_light_touch_residual_and_reconstruction_share_one_record_per_frame():
@@ -1307,7 +1323,7 @@ def test_building_a_record_decomposes_no_member():
         cut = slice(record.starts[k], record.starts[k + 1])
         assert np.array_equal(record.eigenvalues[cut], obs.spectral.eigenvalues)
         assert np.array_equal(record.projectors[cut], obs.spectral.projectors)
-        assert record.norms[k] == obs.spectral.norm
+        assert record.norms[k] == obs.spectral.norms[0]
     assert _basis(members[1:3], 4).light_touch  # light-touch and scalar
 
 

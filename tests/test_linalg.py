@@ -86,7 +86,7 @@ def test_spectral_decomposition_properties(seed, d, log_scale, kind):
     assert not P.flags.writeable
     assert np.linalg.norm(P.sum(axis=0) - np.eye(d), 2) <= 1e-12
     norm = np.linalg.norm(H, 2)
-    assert abs(dec.norm - norm) <= 1e-12 * norm
+    assert abs(dec.norms[0] - norm) <= 1e-12 * norm
     # Merging a chain of gaps up to CLUSTER_RTOL * norm moves an eigenvalue by
     # at most (d - 1) such gaps; roundoff adds far less than 1e-12 * norm.
     rebuilt = np.einsum("k,kij->ij", lam, P)

@@ -8,7 +8,6 @@ from qsot import (
     ParameterOutOfRange,
     Process,
     canonical_sot,
-    classify_light_touch,
     hermitian_basis,
     identity_channel,
     joint_distribution,
@@ -71,31 +70,34 @@ L_TABLE = {
 }
 
 
+# An observable is scalar with one cluster, dichotomous with two light-touch clusters
+# (the larger eigenvalue its value), and general when it is not light-touch.
 def test_classify_identity():
-    cls = classify_light_touch(np.eye(4))
-    assert cls.kind == "scalar" and cls.value == 1.0
-    assert cls.is_light_touch
+    obs = Observable(np.eye(4))
+    assert obs.spectral.eigenvalues.tolist() == [1.0]
+    assert obs.is_light_touch
 
 
 def test_classify_zero_matrix():
-    cls = classify_light_touch(np.zeros((3, 3)))
-    assert cls.kind == "scalar" and cls.value == 0.0
+    obs = Observable(np.zeros((3, 3)))
+    assert obs.spectral.eigenvalues.tolist() == [0.0] and obs.is_light_touch
 
 
 def test_classify_pauli_strings_dichotomous():
     for obs in pauli_basis(2):
-        cls = obs.classification
+        lams = obs.spectral.eigenvalues
+        assert obs.is_light_touch
         if np.allclose(obs.matrix, np.eye(4)):
-            assert cls.kind == "scalar"
+            assert len(lams) == 1
         else:
-            assert cls.kind == "dichotomous"
-            assert np.isclose(cls.value, 1.0)
+            assert len(lams) == 2
+            assert np.isclose(lams[1], 1.0)
 
 
 def test_classify_general():
-    cls = classify_light_touch(np.diag([2.0, 0.0, -2.0]))
-    assert cls.kind == "general"
-    assert not cls.is_light_touch
+    obs = Observable(np.diag([2.0, 0.0, -2.0]))
+    assert not obs.is_light_touch
+    assert not Observable(np.diag([-1.0, 1.0, 2.0])).is_light_touch  # a cancelling pair and more
 
 
 def test_pauli_string_basics():
@@ -223,9 +225,9 @@ def test_light_touch_basis_properties():
     G = gram_matrix(basis)
     assert np.allclose(G, 3 * np.eye(9), atol=1e-10)
     for obs in basis:
-        cls = obs.classification
-        assert cls.kind == "dichotomous"
-        assert np.isclose(cls.value, 1.0)
+        lams = obs.spectral.eigenvalues
+        assert obs.is_light_touch and len(lams) == 2
+        assert np.isclose(lams[1], 1.0)
         assert np.isclose(np.vdot(obs.matrix, obs.matrix).real, 3.0)
 
 
@@ -294,7 +296,7 @@ def test_observable_keeps_a_read_only_copy_of_its_matrix():
     # the spectrum describing different observables.
     M = np.diag([1.0, -1.0]).astype(complex)
     obs = Observable(M)
-    assert obs.spectral.norm == 1.0
+    assert obs.spectral.norms[0] == 1.0
     M[0, 0] = 3.0
     assert np.array_equal(obs.matrix, np.diag([1.0, -1.0]))
     with pytest.raises(ValueError):

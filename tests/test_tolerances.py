@@ -20,8 +20,8 @@ from qsot import (
     Process,
     QuantumChannel,
     canonical_sot,
-    classify_light_touch,
     hermitian_basis,
+    hermitian_eigendecomposition,
     identity_channel,
     light_touch_spanning_set,
     maximality_counterexample,
@@ -67,7 +67,7 @@ def test_rescaled_observable_keeps_its_clusters_and_class(exponent, seed):
         M = with_spectrum(rng, values)
         base, scaled = Observable(M), Observable(s * M)
         assert len(scaled.spectral.eigenvalues) == len(base.spectral.eigenvalues)
-        assert scaled.classification.kind == base.classification.kind
+        assert scaled.is_light_touch == base.is_light_touch
 
 
 @SETTINGS
@@ -157,10 +157,10 @@ def test_dichotomy_boundary_at_every_scale(exponent, seed, d, data):
     rng = np.random.default_rng(seed)
     lam = 10.0**exponent
     m = data.draw(st.integers(1, d - 1))
-    for factor, kind in ((0.5, "dichotomous"), (2.0, "general")):
+    for factor, dichotomous in ((0.5, True), (2.0, False)):
         minus = -lam * (1 + factor * CLUSTER_RTOL)
-        M = with_spectrum(rng, np.r_[np.full(m, lam), np.full(d - m, minus)])
-        assert Observable(M).classification.kind == kind
+        obs = Observable(with_spectrum(rng, np.r_[np.full(m, lam), np.full(d - m, minus)]))
+        assert (len(obs.spectral.eigenvalues), obs.is_light_touch) == (2, dichotomous)
 
 
 def chain(start, steps):
@@ -173,8 +173,8 @@ def test_chained_clusters_and_classification_agree(exponent, seed, groups, data)
     """Chains of gaps below CLUSTER_RTOL max|lam| merge whole, even when they span more.
 
     Two mirrored chains around +lam and -lam classify as dichotomous; one
-    chain is scalar, three are general. The public classifier, which
-    decomposes the matrix again, agrees with the observable's own class.
+    chain is scalar, three are general. The public decomposition, which
+    decomposes the matrix again, agrees with the observable's own spectrum.
     """
     rng = np.random.default_rng(seed)
     lam = 10.0**exponent
@@ -185,8 +185,10 @@ def test_chained_clusters_and_classification_agree(exponent, seed, groups, data)
     values = {1: up, 2: np.r_[up, -up], 3: np.r_[up, -up, 0.5 * up]}[groups]
     obs = Observable(with_spectrum(rng, values))
     assert len(obs.spectral.eigenvalues) == groups
-    assert obs.classification.kind == {1: "scalar", 2: "dichotomous", 3: "general"}[groups]
-    assert classify_light_touch(obs.matrix) == obs.classification
+    assert obs.is_light_touch == (groups < 3)
+    dec = hermitian_eigendecomposition(obs.matrix)
+    assert np.array_equal(dec.eigenvalues, obs.spectral.eigenvalues)
+    assert dec.light_touch == obs.is_light_touch
 
 
 @pytest.mark.parametrize("angle", [np.pi / 3, np.pi, 5 * np.pi / 3])
